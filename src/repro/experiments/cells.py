@@ -9,7 +9,8 @@ can cross a process boundary and serve as a content-addressed cache key.
 
 Workload specs name a *kind* from a small registry (``"app"`` →
 :func:`repro.workloads.apps.make_app`, ``"throttle"`` →
-:class:`repro.workloads.throttle.Throttle`; extendable via
+:class:`repro.workloads.throttle.Throttle`, ``"tenant"`` →
+:class:`repro.fleet.tenants.FleetTenant`; extendable via
 :func:`register_workload_kind`) plus positional/keyword arguments.  An
 escape hatch, :meth:`WorkloadSpec.from_callable`, wraps an arbitrary
 zero-argument factory; such specs still run, but are neither cached nor
@@ -48,8 +49,16 @@ def register_workload_kind(name: str, factory: Callable[..., Workload]) -> None:
     WORKLOAD_KINDS[name] = factory
 
 
+def _fleet_tenant(*args: Any, **kwargs: Any) -> Workload:
+    # Imported on first use so plain runs never load the fleet package.
+    from repro.fleet.tenants import FleetTenant
+
+    return FleetTenant(*args, **kwargs)
+
+
 register_workload_kind("app", make_app)
 register_workload_kind("throttle", Throttle)
+register_workload_kind("tenant", _fleet_tenant)
 
 
 @dataclass(frozen=True)
@@ -76,6 +85,23 @@ class WorkloadSpec:
         if instance is None:
             return cls.of("app", name)
         return cls.of("app", name, instance=instance)
+
+    @classmethod
+    def apps(cls, names: Sequence[str]) -> tuple["WorkloadSpec", ...]:
+        """Table 1 apps by name; repeats get distinct task labels.
+
+        The first instance of an app keeps the plain name, later ones are
+        ``name.2``, ``name.3``, ... (the convention every inline run and
+        trace shares).
+        """
+        counts: dict[str, int] = {}
+        specs = []
+        for name in names:
+            seen = counts.get(name, 0)
+            counts[name] = seen + 1
+            instance = None if seen == 0 else f"{name}.{seen + 1}"
+            specs.append(cls.app(name, instance=instance))
+        return tuple(specs)
 
     @classmethod
     def throttle(cls, request_size_us: float, **kwargs: Any) -> "WorkloadSpec":
@@ -127,13 +153,21 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
+#: CellSpec fields keyed only when they differ from their defaults.
+_KEYED_WHEN_SET = frozenset(
+    {"fault_plan", "devices", "placement", "policy", "moves"}
+)
+
+
 @dataclass(frozen=True)
 class CellSpec:
     """One experiment cell: a complete simulation, declaratively.
 
     Running a cell is a pure function of its fields (simulations are
     deterministic per seed), which is what makes both the process-pool
-    fan-out and the content-keyed result cache sound.
+    fan-out and the content-keyed result cache sound.  ``devices``,
+    ``placement``, ``policy`` and ``moves`` describe a multi-GPU fleet
+    run (docs/FLEET.md); the paper's system is ``devices=1``.
     """
 
     scheduler: str
@@ -145,6 +179,12 @@ class CellSpec:
     gpu_params: Optional[GpuParams] = None
     #: Optional fault plan installed for the run (repro.faults).
     fault_plan: Optional[FaultPlan] = None
+    devices: int = 1
+    placement: str = "least-loaded"
+    policy: str = "fleet-fair"
+    #: Planned migrations: ``(at_us, tenant, dst_device)`` requests, each
+    #: committing at the source's next engagement boundary.
+    moves: tuple = ()
 
     @classmethod
     def solo(
@@ -188,10 +228,12 @@ class CellSpec:
             "costs": _jsonable(self.costs),
             "gpu_params": _jsonable(self.gpu_params),
         }
-        if self.fault_plan is not None:
-            # Only keyed when present, so every pre-existing cached result
-            # keeps its key.
-            payload["fault_plan"] = _jsonable(self.fault_plan)
+        for spec_field in fields(self):
+            # Later additions are keyed only when set, so every cell that
+            # does not use them keeps its cached key.
+            value = getattr(self, spec_field.name)
+            if spec_field.name in _KEYED_WHEN_SET and value != spec_field.default:
+                payload[spec_field.name] = _jsonable(value)
         digest = hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode("utf-8")
         )
@@ -199,6 +241,15 @@ class CellSpec:
 
     def label(self) -> str:
         """Short human-readable tag for wall-time reporting."""
+        if self.devices > 1:
+            tag = (
+                f"fleet{self.devices}:{self.scheduler}:"
+                f"{len(self.workloads)}ten:{self.placement}:{self.policy}"
+                f":s{self.seed}"
+            )
+            if self.fault_plan is not None:
+                tag += f"+{self.fault_plan.name}"
+            return tag
         names = "+".join(
             w.kind if w.kind == CALLABLE_KIND else
             "-".join(str(a) for a in (w.kind,) + w.args)
@@ -219,6 +270,10 @@ class CellSpec:
             costs=self.costs,
             gpu_params=self.gpu_params,
             fault_plan=self.fault_plan,
+            devices=self.devices,
+            placement=self.placement,
+            policy=self.policy,
+            moves=self.moves,
         )
 
 

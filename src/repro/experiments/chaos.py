@@ -42,7 +42,6 @@ from repro.faults import registry as points
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.metrics.tables import format_table
 from repro.osmodel.costs import CostParams
-from repro.workloads.throttle import Throttle
 
 #: Schedulers under test — the three that manage (direct access has no
 #: watchdog and nothing to harden).
@@ -318,17 +317,13 @@ def deep_check(
     """
     if isinstance(plan, str):
         plan = builtin_plans()[plan]
+    spec = chaos_cell(plan, scheduler, duration_us, seed)
     env = build_env(
-        scheduler,
-        seed=seed,
-        costs=chaos_costs(),
-        fault_plan=plan if plan.specs else None,
+        spec.scheduler, seed=spec.seed, costs=spec.costs,
+        fault_plan=spec.fault_plan,
     )
-    workloads = [
-        Throttle(800.0, name=VICTIM),
-        Throttle(800.0, name=BYSTANDER),
-    ]
-    results = run_workloads(env, workloads, duration_us, WARMUP_US)
+    workloads = [workload.build() for workload in spec.workloads]
+    results = run_workloads(env, workloads, duration_us, spec.warmup_us)
     violations = check_invariants(plan, results)
     for channel_id in sorted(env.device.channels):
         channel = env.device.channels[channel_id]

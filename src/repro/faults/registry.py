@@ -150,7 +150,7 @@ NEON_DISCOVERY_CORRUPTION = register_injection_point(
 )
 
 # ----------------------------------------------------------------------
-# Fleet (repro.fleet.registry)
+# Fleet device loss (repro.experiments.runner)
 # ----------------------------------------------------------------------
 FLEET_DEVICE_LOSS = register_injection_point(
     "fleet.device_loss", "fleet",

@@ -1,23 +1,24 @@
-"""Multi-GPU fleet subsystem: registry, placement, hierarchical fairness.
+"""Multi-GPU fleet subsystem: placement, migration, hierarchical fairness.
 
-See docs/FLEET.md.  The package splits along the same interception
-boundary as the rest of the tree:
+See docs/FLEET.md.  A fleet run is an ordinary run with ``devices >= 2``:
+:func:`repro.experiments.runner.build_env` wires N device stacks into
+one simulator and :func:`~repro.experiments.runner.run_workloads` places
+the tenants and runs the clock; this package supplies the policies and
+protocols those multi-device runs use.  It splits along the same
+interception boundary as the rest of the tree:
 
 * :mod:`repro.fleet.policies` — global fair-share policies, pure math
   over interception-observable digests (boundary-checked by neonlint);
 * :mod:`repro.fleet.placement` — deterministic task→device placement;
 * :mod:`repro.fleet.share` — the trace-sink coordinator feeding digests
   to the policy and re-weighting local DFQs at engagement ticks;
-* :mod:`repro.fleet.registry` — N device stacks in one simulator,
-  device loss, reincarnation;
 * :mod:`repro.fleet.migration` — planned moves at engagement boundaries;
 * :mod:`repro.fleet.tenants` — migration-aware tenant workloads;
-* :mod:`repro.fleet.experiment` — farm cells, tables, chaos invariants;
+* :mod:`repro.fleet.experiment` — tenant mixes, tables, chaos invariants;
 * :mod:`repro.fleet.cli` — ``repro fleet run|chaos|policies|placements``.
 """
 
 from repro.fleet.experiment import (
-    FleetCellSpec,
     check_fleet_invariants,
     device_loss_plan,
     format_fleet_table,
@@ -41,20 +42,11 @@ from repro.fleet.policies import (
     global_policy_registry,
     register_global_policy,
 )
-from repro.fleet.registry import (
-    DeviceStack,
-    FleetEnv,
-    build_fleet_env,
-    run_fleet,
-)
 from repro.fleet.share import GlobalFairShare
 from repro.fleet.tenants import FleetTenant
 
 __all__ = [
     "DeviceDigest",
-    "DeviceStack",
-    "FleetCellSpec",
-    "FleetEnv",
     "FleetFairShare",
     "FleetTenant",
     "GlobalFairShare",
@@ -66,7 +58,6 @@ __all__ = [
     "PlacementPolicy",
     "ServerArbiter",
     "TenantDigest",
-    "build_fleet_env",
     "check_fleet_invariants",
     "device_loss_plan",
     "format_fleet_table",
@@ -74,7 +65,6 @@ __all__ = [
     "placement_registry",
     "register_global_policy",
     "register_placement",
-    "run_fleet",
     "stable_hash",
     "summarize_fleet",
     "tenant_specs",

@@ -18,7 +18,7 @@ The protocol has two cooperating halves:
 A tenant that is mid-request when a move is requested keeps running
 until it parks, so migration can never yank state out from under an
 in-flight submission; a tenant killed while parked simply drops the
-move.  Device-loss recovery takes a different path (the registry's
+move.  Device-loss recovery takes a different path (the env's
 ``reincarnate``) because the source device is gone — only *planned*
 moves carry the boundary-only guarantee, which is what the property
 tests pin for ``reason="rebalance"``.
@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Dict, List
 from repro.obs import events
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.fleet.registry import FleetEnv
+    from repro.experiments.runner import SimulationEnv
     from repro.fleet.tenants import FleetTenant
     from repro.sim.events import Event
 
@@ -66,7 +66,7 @@ class MigrationRecord:
 class MigrationManager:
     """Owns pending moves and the per-scheduler boundary hooks."""
 
-    def __init__(self, fleet: "FleetEnv") -> None:
+    def __init__(self, fleet: "SimulationEnv") -> None:
         self.fleet = fleet
         self.records: List[MigrationRecord] = []
         self._pending: Dict[int, List[PendingMove]] = {}

@@ -1,8 +1,8 @@
-"""Task-to-device placement policies for the fleet registry.
+"""Task-to-device placement policies for multi-device runs.
 
 ``Placement.assign(task) -> device_id`` decides which device a tenant's
 stack lives on.  All policies are deterministic pure functions of the
-tenant name and the registry's current occupancy — never of wall time,
+tenant name and the env's current occupancy — never of wall time,
 process identity, or Python's salted ``hash()`` — so the same scenario
 places identically across runs, worker pools, and machines (the
 placement-determinism tests pin this).
@@ -39,7 +39,7 @@ class PlacementPolicy:
     def __init__(self) -> None:
         self.device_ids: tuple[int, ...] = ()
         #: Tenants currently placed per device (maintained by the
-        #: registry: assignment adds, migration moves, loss evacuates).
+        #: env: assignment adds, migration moves, loss evacuates).
         self.occupancy: Dict[int, int] = {}
 
     def bind(self, device_ids: Sequence[int]) -> None:
@@ -56,7 +56,7 @@ class PlacementPolicy:
         """Pick a device for ``tenant``; ``exclude`` bars lost devices."""
         raise NotImplementedError
 
-    # -- occupancy bookkeeping (called by the registry) -----------------
+    # -- occupancy bookkeeping (called by the env) ----------------------
     def placed(self, device_id: int) -> None:
         self.occupancy[device_id] = self.occupancy.get(device_id, 0) + 1
 
@@ -65,7 +65,7 @@ class PlacementPolicy:
         self.occupancy[device_id] = max(0, count - 1)
 
 
-#: Name → class map used by the fleet registry and the CLI.
+#: Name → class map used by ``build_env`` and the CLI.
 placement_registry: Dict[str, Type[PlacementPolicy]] = {}
 
 

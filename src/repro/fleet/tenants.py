@@ -10,10 +10,10 @@ cooperates with the fleet's migration protocol:
   barrier up, every channel drained — where the manager tears the
   source task down, charges the migration cost, and rebinds the tenant
   to the target kernel.  The tenant then reopens its channel there.
-* **device loss** — the registry marks the tenant for reincarnation and
+* **device loss** — the env marks the tenant for reincarnation and
   kills its task with the rest of the lost device.  The overridden
   ``_run`` catches the kill and, instead of dying, restarts the body as
-  a fresh task on the surviving device the registry chose.  Without a
+  a fresh task on the surviving device the env chose.  Without a
   survivor the kill stands (escalation), exactly like any other
   protective kill.
 
@@ -57,7 +57,7 @@ class FleetTenant(Workload):
         self.partition = (
             partition if partition is not None else name.partition(".")[0]
         )
-        #: Set by the fleet registry at placement time.
+        #: The owning env, set at placement time.
         self.fleet = None
         #: Pending planned move (repro.fleet.migration.PendingMove).
         self._move = None
@@ -114,7 +114,7 @@ class FleetTenant(Workload):
                 return
             self._reincarnation = None
             self._move = None
-            # The registry rebinds us to the surviving device and spawns
+            # The env rebinds us to the surviving device and spawns
             # a fresh process running this generator again.
             self.fleet.reincarnate(self, destination)
             return

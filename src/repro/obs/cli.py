@@ -163,21 +163,12 @@ def record_trace(
 ) -> tuple[TraceRecorder, float]:
     """Run a small simulation with tracing on; returns (trace, end time)."""
     # Imported here so trace-file analysis never loads the simulator.
+    from repro.experiments.cells import WorkloadSpec
     from repro.experiments.runner import build_env, run_workloads
-    from repro.workloads.apps import make_app
 
     trace = TraceRecorder(max_records=max_records)
     env = build_env(scheduler, seed=seed, trace=trace, fault_plan=fault_plan)
-    counts: dict[str, int] = {}
-    workloads = []
-    for name in apps:
-        seen = counts.get(name, 0)
-        counts[name] = seen + 1
-        # Repeats of an app get distinct task labels, matching the
-        # monitor's convention (glxgears, then glxgears.2, ...); the
-        # first keeps the plain name so unique-app traces are unchanged.
-        instance = None if seen == 0 else f"{name}.{seen + 1}"
-        workloads.append(make_app(name, instance=instance))
+    workloads = [spec.build() for spec in WorkloadSpec.apps(apps)]
     run_workloads(env, workloads, duration_us=duration_us)
     return trace, env.sim.now
 
@@ -186,7 +177,7 @@ def _parse_apps(spec: str) -> list[str]:
     return [name.strip() for name in spec.split(",") if name.strip()]
 
 
-def _obtain_trace(args: argparse.Namespace) -> tuple[TraceRecorder, Optional[float]]:
+def obtain_trace(args: argparse.Namespace) -> tuple[TraceRecorder, Optional[float]]:
     """A trace from the file argument, or from an inline recording."""
     if getattr(args, "trace", None) is not None:
         return load_trace(args.trace), None
@@ -226,7 +217,7 @@ def cmd_kinds(_args: argparse.Namespace) -> int:
 
 
 def cmd_record(args: argparse.Namespace) -> int:
-    trace, _end = _obtain_trace(args)
+    trace, _end = obtain_trace(args)
     stream, close = _open_output(args.output)
     try:
         count = write_jsonl(trace, stream)
@@ -242,7 +233,7 @@ def cmd_record(args: argparse.Namespace) -> int:
 
 
 def cmd_summary(args: argparse.Namespace) -> int:
-    trace, end_us = _obtain_trace(args)
+    trace, end_us = obtain_trace(args)
     summary = summarize(trace, end_us=end_us)
     if args.json:
         import json

@@ -573,20 +573,13 @@ def _run_inline(args: argparse.Namespace, session: MonitorSession) -> None:
         names = [name.strip() for name in args.apps.split(",") if name.strip()]
         if not names:
             raise ValueError("--apps needs at least one application name")
-        counts: dict[str, int] = {}
-        workloads = []
-        for name in names:
-            seen = counts.get(name, 0)
-            counts[name] = seen + 1
-            instance = None if seen == 0 else f"{name}.{seen + 1}"
-            workloads.append(WorkloadSpec.app(name, instance=instance))
         duration_us = (
             args.duration_ms * 1000.0 if args.duration_ms is not None
             else DEFAULT_DURATION_US
         )
         spec = CellSpec(
             scheduler=args.scheduler,
-            workloads=tuple(workloads),
+            workloads=WorkloadSpec.apps(names),
             duration_us=duration_us,
             warmup_us=min(DEFAULT_WARMUP_US, duration_us / 4),
             seed=args.seed,

@@ -108,3 +108,30 @@ def test_cell_run_matches_measure():
         warmup_us=2_000.0,
     )
     assert cell.run() == direct
+
+
+def test_content_keys_are_pinned():
+    # Digests of single-device figure cells as cached before the fleet
+    # fields joined CellSpec: adding fields keyed only when set must keep
+    # every existing result-cache entry addressable.
+    from repro.experiments import figure4, figure6
+
+    (*_, dfq_solo) = figure4.cell_specs(
+        400_000.0, 60_000.0, 0, ("DCT",), ("dfq",)
+    )
+    assert dfq_solo.content_key() == (
+        "e1e75b3f3e8750335e61c9bab6c3ce378a77f67da4aefe33c27ea888e0a595f7"
+    )
+    (*_, dfq_pair) = figure6.cell_specs(
+        apps=("glxgears",), sizes=(19.0,), schedulers=("dfq",)
+    )
+    assert dfq_pair.content_key() == (
+        "06a7c5dd40a4bb183efbfda0b850e1f402bd877fee30db6962cf27d28958da4e"
+    )
+
+
+def test_app_specs_label_repeated_apps():
+    specs = WorkloadSpec.apps(["glxgears", "DCT", "glxgears", "glxgears"])
+    assert [spec.build().name for spec in specs] == [
+        "glxgears", "DCT", "glxgears.2", "glxgears.3",
+    ]

@@ -46,3 +46,30 @@ def test_trace_kinds_enable_recording():
     run_workloads(env, [workload], 5_000.0, 0.0)
     assert len(env.trace) > 10
     assert all(r.kind == "request_submit" for r in env.trace.records())
+
+
+def test_single_device_run_does_not_import_the_fleet_layer():
+    # Plain runs must not pay for the fleet's placement, policy, share or
+    # migration modules; checked in a fresh interpreter.
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    code = (
+        "import sys, repro\n"
+        "from repro.experiments.runner import build_env, run_workloads\n"
+        "from repro.workloads.throttle import Throttle\n"
+        "env = build_env('dfq')\n"
+        "run_workloads(env, [Throttle(50.0)], 5_000.0, 1_000.0)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.fleet')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    output = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True,
+    ).stdout
+    for module in ("placement", "policies", "share", "migration"):
+        assert f"repro.fleet.{module}" not in output

@@ -1,4 +1,4 @@
-"""FleetCellSpec: content keys, labels, farm compatibility."""
+"""Fleet cells (CellSpec with devices >= 2): keys, labels, the farm."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.experiments.cells import CellSpec, WorkloadSpec
 from repro.experiments.parallel import run_cells
 from repro.faults.registry import FLEET_DEVICE_LOSS
 from repro.fleet.experiment import (
-    FleetCellSpec,
     device_loss_plan,
     summarize_fleet,
     tenant_specs,
@@ -22,7 +21,7 @@ def spec(**overrides):
         warmup_us=5_000.0,
     )
     base.update(overrides)
-    return FleetCellSpec(**base)
+    return CellSpec(**base)
 
 
 def test_content_key_is_stable_across_instances():
@@ -45,13 +44,15 @@ def test_content_key_tracks_every_field(field, value):
 
 
 def test_content_key_never_collides_with_single_device_cells():
-    # Same workloads, duration, seed — the "fleet" namespace marker keeps
-    # the shared result cache partitioned.
-    plain = CellSpec(
+    # Same workloads, duration, seed: the device count alone keeps fleet
+    # cells apart from the devices=1 cell in the shared result cache.
+    single = spec(devices=1).content_key()
+    assert single == CellSpec(
         scheduler="dfq", workloads=tenant_specs(4),
-        duration_us=40_000.0, warmup_us=5_000.0, seed=0,
-    )
-    assert spec(devices=1).content_key() != plain.content_key()
+        duration_us=40_000.0, warmup_us=5_000.0,
+    ).content_key()
+    for devices in (2, 3, 8):
+        assert spec(devices=devices).content_key() != single
 
 
 def test_uncacheable_workloads_have_no_key():

@@ -1,17 +1,18 @@
-"""End-to-end fleet runs: identity at N=1, fleet metrics at N>1."""
+"""End-to-end fleet runs: the single-device contract, fleet metrics at N>1."""
 
 import math
 
 import pytest
 
+from repro.core.disengaged_fq import DisengagedFairQueueing
 from repro.experiments.runner import build_env, run_workloads
 from repro.fleet.experiment import (
     format_fleet_table,
     summarize_fleet,
     tenant_specs,
 )
-from repro.fleet.registry import build_fleet_env, run_fleet
 from repro.fleet.tenants import FleetTenant
+from repro.sim.trace import TraceRecorder
 
 
 def make_tenants():
@@ -22,34 +23,35 @@ def make_tenants():
     ]
 
 
-def test_fleet_of_one_matches_the_plain_runner_exactly():
-    # The acceptance bar for the whole subsystem: with one device, the
-    # fleet path must reproduce repro.experiments.runner field for field
-    # (same sim event order, same RNG draws, same metrics snapshots).
-    plain_env = build_env("dfq", seed=3)
-    plain = run_workloads(plain_env, make_tenants(), 80_000.0, 20_000.0)
-
-    fleet_env = build_fleet_env(devices=1, scheduler="dfq", seed=3)
-    fleet = run_fleet(fleet_env, make_tenants(), 80_000.0, 20_000.0)
-
-    assert sorted(plain) == sorted(fleet)
-    for name in plain:
-        assert plain[name] == fleet[name], name
-    # In particular: no fleet_* keys leak into single-device metrics.
+def test_single_device_run_leaves_no_fleet_footprint():
+    # A one-device run is the paper's system: even traced (the recorder
+    # enabled, so a share sink could attach) and with fleet tenants, it
+    # carries no device tags, no fleet events, no fleet metrics, and no
+    # global fair-share sink.
+    trace = TraceRecorder()
+    env = build_env("dfq", seed=3, trace=trace)
+    results = run_workloads(env, make_tenants(), 80_000.0, 20_000.0)
+    records = list(trace.records())
+    assert records
+    assert not any("device" in record.payload for record in records)
+    assert not any(record.kind.startswith("fleet.") for record in records)
     assert not any(
         key.startswith("fleet_")
-        for result in fleet.values()
+        for result in results.values()
         for key in result.metrics
     )
+    assert env.share is None
+    assert env.placement is None
+    assert trace.sinks == ()
 
 
 def test_multi_device_run_isolates_and_annotates():
-    env = build_fleet_env(devices=2, scheduler="dfq", seed=1)
+    env = build_env(devices=2, scheduler="dfq", seed=1)
     tenants = [
         FleetTenant(f"p{i % 2}.t{i:03d}", request_size_us=800.0)
         for i in range(4)
     ]
-    results = run_fleet(env, tenants, 60_000.0, 10_000.0)
+    results = run_workloads(env, tenants, 60_000.0, 10_000.0)
     assert len(results) == 4
     devices_seen = set()
     for result in results.values():
@@ -62,9 +64,9 @@ def test_multi_device_run_isolates_and_annotates():
 
 
 def test_least_loaded_default_placement_balances_counts():
-    env = build_fleet_env(devices=3, scheduler="dfq", seed=0)
+    env = build_env(devices=3, scheduler="dfq", seed=0)
     tenants = [FleetTenant(f"t{i:03d}") for i in range(9)]
-    results = run_fleet(env, tenants, 30_000.0, 5_000.0)
+    results = run_workloads(env, tenants, 30_000.0, 5_000.0)
     population = {}
     for result in results.values():
         device = result.metrics["fleet_device"]
@@ -73,10 +75,10 @@ def test_least_loaded_default_placement_balances_counts():
 
 
 def test_summary_and_table_roundtrip():
-    env = build_fleet_env(devices=2, scheduler="dfq", seed=0)
+    env = build_env(devices=2, scheduler="dfq", seed=0)
     tenants = [FleetTenant(f"t{i:03d}", request_size_us=600.0)
                for i in range(4)]
-    results = run_fleet(env, tenants, 60_000.0, 10_000.0)
+    results = run_workloads(env, tenants, 60_000.0, 10_000.0)
     summary = summarize_fleet(results)
     assert summary.devices == 2
     assert summary.tenants == 4
@@ -95,13 +97,15 @@ def test_summary_and_table_roundtrip():
 
 def test_build_fleet_env_validation():
     with pytest.raises(ValueError, match="at least one device"):
-        build_fleet_env(devices=0)
+        build_env(devices=0)
     with pytest.raises(KeyError, match="unknown placement"):
-        build_fleet_env(devices=2, placement="nope")
+        build_env(devices=2, placement="nope")
     with pytest.raises(KeyError, match="unknown global policy"):
-        build_fleet_env(devices=2, policy="nope")
+        build_env(devices=2, policy="nope")
     with pytest.raises(KeyError, match="unknown scheduler"):
-        build_fleet_env(devices=2, scheduler="nope")
+        build_env(devices=2, scheduler="nope")
+    with pytest.raises(ValueError, match="one device only"):
+        build_env(DisengagedFairQueueing(), devices=2)
 
 
 def test_tenant_specs_shapes_and_validation():
