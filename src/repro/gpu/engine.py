@@ -32,17 +32,22 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.params import GpuParams
     from repro.sim.engine import Simulator
 
-#: Outcome tags delivered through the per-request outcome event.  A single
-#: event replaces the earlier finished/abort/preempt trio plus AnyOf: the
-#: first cause to occur triggers it with its tag (and cancels the completion
-#: timer), so one request costs one event and one wakeup.
+#: Outcome tags of an in-flight request.  The first cause to occur
+#: settles it (and withdraws the completion timer), so one request costs
+#: one outcome dispatch.
 FINISHED = "finished"
 ABORTED = "aborted"
 PREEMPTED = "preempted"
 
 
 class ExecutionEngine:
-    """One execution engine (main compute/graphics, or the copy engine)."""
+    """One execution engine (main compute/graphics, or the copy engine).
+
+    A callback state machine: every wait of the service loop (stall,
+    context switch, state restore, request service, state save, idle) is
+    one scheduled call of the bound method that continues the loop, and
+    :meth:`_dispatch` is the top of the loop.
+    """
 
     def __init__(
         self,
@@ -59,12 +64,20 @@ class ExecutionEngine:
         self.device = device
         self._channels: list[Channel] = []
         self._cursor = 0
+        #: Idle with nothing pending: the next notify schedules a dispatch.
+        self._parked = False
+        #: Wake event of a graphics-cooldown wait, and that wait's
+        #: (cooldown event, cooldown timer).
         self._wake: Optional[Event] = None
-        self._outcome: Optional[Event] = None
+        self._cooldown: Optional[tuple] = None
+        #: True while the running request's outcome is still open.
+        self._awaiting = False
         self._timer = None
+        self._segment_start = 0.0
         self._pending_stall = 0.0
         self.preemptions = 0
-        #: Wake events actually fired (coalesced notifies are not counted).
+        #: Dispatches scheduled from idle (coalesced notifies are not
+        #: counted).
         self.wakeups = 0
         self.current: Optional[Request] = None
         self.current_channel: Optional[Channel] = None
@@ -76,7 +89,7 @@ class ExecutionEngine:
         #: Cumulative switching overhead alone.
         self.switch_us = 0.0
         self.completed_requests = 0
-        self.process = sim.spawn(self._run(), name=f"gpu.{name}")
+        sim.schedule_now(self._dispatch)
 
     # ------------------------------------------------------------------
     # Channel registration
@@ -100,10 +113,15 @@ class ExecutionEngine:
         """Wake the engine: new work may be available.
 
         Idempotent within an instant: the first notify of an idle period
-        triggers the wake event, later ones are free.  Batched submission
+        schedules a dispatch, later ones are free.  Batched submission
         (``GpuDevice.submit_batch``) relies on this — a burst of enqueues
         costs one wake; ``wakeups`` counts the wakes that actually fired.
         """
+        if self._parked:
+            self._parked = False
+            self.wakeups += 1
+            self.sim.schedule_now(self._dispatch)
+            return
         wake = self._wake
         if wake is not None and not wake.triggered:
             self.wakeups += 1
@@ -111,13 +129,7 @@ class ExecutionEngine:
 
     def abort_current(self, context) -> bool:
         """Abort the running request if it belongs to ``context``."""
-        if (
-            self.current is not None
-            and self.current_channel is not None
-            and self.current_channel.context is context
-            and self._outcome is not None
-            and not self._outcome.triggered
-        ):
+        if self._awaiting and self.current_channel.context is context:
             self._settle(ABORTED)
             return True
         return False
@@ -130,24 +142,21 @@ class ExecutionEngine:
         ``context`` given, only a request of that context is preempted.
         Returns True if a preemption was initiated.
         """
-        if not self.params.preemption_supported:
-            return False
-        if self.current is None or self.current_channel is None:
+        if not self.params.preemption_supported or not self._awaiting:
             return False
         if context is not None and self.current_channel.context is not context:
-            return False
-        if self._outcome is None or self._outcome.triggered:
             return False
         self._settle(PREEMPTED)
         return True
 
     def _settle(self, tag: str) -> None:
-        """Resolve the in-flight request's wait with ``tag``, withdrawing
+        """Close the in-flight request's outcome with ``tag``, withdrawing
         the completion timer so it cannot fire a second outcome later."""
+        self._awaiting = False
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        self._outcome.trigger(tag)
+        self.sim.schedule_now(self._on_outcome, tag)
 
     def inject_stall(self, duration_us: float) -> None:
         """Consume engine time outside any request (context cleanup)."""
@@ -206,99 +215,140 @@ class ExecutionEngine:
         return None, max(earliest_blocked - now, 0.01)
 
     # ------------------------------------------------------------------
-    # Main loop
+    # Service loop
     # ------------------------------------------------------------------
-    def _run(self):
-        while True:
-            if self._pending_stall > 0:
-                stall = self._pending_stall
-                self._pending_stall = 0.0
-                yield stall
-                self.busy_us += stall
-                continue
+    def _dispatch(self) -> None:
+        """Top of the service loop: stall, wait, or start serving."""
+        stall = self._pending_stall
+        if stall > 0:
+            self._pending_stall = 0.0
+            self.sim.schedule(stall, self._after_stall, stall)
+            return
 
-            channel, retry_delay = self._pick()
-            if channel is None:
-                # Nothing servable right now.  Wait for new work; when only
-                # penalized graphics channels are pending, also re-arbitrate
-                # once their cooldown expires (non-work-conserving hardware
-                # arbitration).
-                self._wake = self.sim.event()
-                if retry_delay is not None:
-                    cooldown = self.sim.event()
-                    timer = self.sim.schedule(retry_delay, cooldown.trigger)
-                    first = yield AnyOf(self.sim, [cooldown, self._wake])
-                    if first is not cooldown:
-                        timer.cancel()
-                else:
-                    yield self._wake
-                self._wake = None
-                continue
-
-            switch_cost = self._switch_cost(channel)
-            faults = self.device.faults
-            if faults is not None and switch_cost > 0:
-                spike = faults.arm(
-                    fault_points.GPU_CONTEXT_SWITCH_SPIKE, channel.task.name
-                )
-                if spike is not None:
-                    switch_cost += spike.magnitude_us
-            if switch_cost > 0:
-                yield switch_cost
-                self.busy_us += switch_cost
-                self.switch_us += switch_cost
-                # The queue may have changed (e.g. the context died) while
-                # we were switching; re-arbitrate from scratch.
-                if channel.dead or not channel.queue:
-                    self._last_context = None
-                    self._last_channel = None
-                    continue
-            self._last_context = channel.context
-            self._last_channel = channel
-
-            request = channel.queue.popleft()
-            channel.running = request
-            if request.preemptions > 0:
-                # Restore the saved execution state before resuming.
-                restore = self.params.preemption_save_restore_us
-                yield restore
-                self.busy_us += restore
-                self.switch_us += restore
-            if request.start_time is None:
-                request.start_time = self.sim.now
-                faults = self.device.faults
-                if faults is not None and not request.never_completes:
-                    slow = faults.arm(
-                        fault_points.GPU_REQUEST_SLOWDOWN, channel.task.name
-                    )
-                    if slow is not None:
-                        # Hardware runs slow; the submitter's declared
-                        # size_us is unchanged — it believes the request
-                        # is still small.
-                        request.remaining_us *= slow.factor
+        channel, retry_delay = self._pick()
+        if channel is None:
+            # Nothing servable right now.  Wait for new work; when only
+            # penalized graphics channels are pending, also re-arbitrate
+            # once their cooldown expires (non-work-conserving hardware
+            # arbitration).
+            if retry_delay is None:
+                self._parked = True
+                return
             sim = self.sim
-            segment_start = sim.now
-            self.current = request
-            self.current_channel = channel
-            outcome = self._outcome = Event(sim)
-            if not request.never_completes:
-                self._timer = sim.schedule(
-                    request.remaining_us, outcome.trigger, FINISHED
-                )
-            if self.device.trace.enabled:
-                self.device.trace.emit(
-                    segment_start, f"gpu.{self.name}", events.EXEC_BEGIN,
-                    task=channel.task.name, channel=channel.channel_id,
-                    ref=request.ref,
-                )
-            tag = yield outcome
-            self._outcome = None
-            self._timer = None
+            wake = self._wake = sim.event()
+            cooldown = sim.event()
+            timer = sim.schedule(retry_delay, cooldown.trigger)
+            self._cooldown = (cooldown, timer)
+            AnyOf(sim, [cooldown, wake]).proxy.add_callback(
+                self._after_cooldown
+            )
+            return
 
-            if tag is PREEMPTED:
-                yield from self._suspend(channel, request, segment_start)
-            else:
-                self._retire(channel, request, tag is ABORTED, segment_start)
+        switch_cost = self._switch_cost(channel)
+        faults = self.device.faults
+        if faults is not None and switch_cost > 0:
+            spike = faults.arm(
+                fault_points.GPU_CONTEXT_SWITCH_SPIKE, channel.task.name
+            )
+            if spike is not None:
+                switch_cost += spike.magnitude_us
+        if switch_cost > 0:
+            self.sim.schedule(switch_cost, self._after_switch, channel,
+                              switch_cost)
+            return
+        self._start(channel)
+
+    def _after_stall(self, stall: float) -> None:
+        self.busy_us += stall
+        self._dispatch()
+
+    def _after_cooldown(self, proxy: Event) -> None:
+        cooldown, timer = self._cooldown
+        self._cooldown = None
+        if proxy.value is not cooldown:  # the wake came first
+            timer.cancel()
+        self._wake = None
+        self._dispatch()
+
+    def _after_switch(self, channel: Channel, switch_cost: float) -> None:
+        self.busy_us += switch_cost
+        self.switch_us += switch_cost
+        # The queue may have changed (e.g. the context died) while we
+        # were switching; re-arbitrate from scratch.
+        if channel.dead or not channel.queue:
+            self._last_context = None
+            self._last_channel = None
+            self._dispatch()
+            return
+        self._start(channel)
+
+    def _start(self, channel: Channel) -> None:
+        self._last_context = channel.context
+        self._last_channel = channel
+        request = channel.queue.popleft()
+        channel.running = request
+        if request.preemptions > 0:
+            # Restore the saved execution state before resuming.
+            restore = self.params.preemption_save_restore_us
+            self.sim.schedule(restore, self._after_restore, channel, request,
+                              restore)
+            return
+        self._begin(channel, request)
+
+    def _after_restore(
+        self, channel: Channel, request: Request, restore: float
+    ) -> None:
+        self.busy_us += restore
+        self.switch_us += restore
+        self._begin(channel, request)
+
+    def _begin(self, channel: Channel, request: Request) -> None:
+        """Put ``request`` on the engine until its outcome settles."""
+        sim = self.sim
+        if request.start_time is None:
+            request.start_time = sim.now
+            faults = self.device.faults
+            if faults is not None and not request.never_completes:
+                slow = faults.arm(
+                    fault_points.GPU_REQUEST_SLOWDOWN, channel.task.name
+                )
+                if slow is not None:
+                    # Hardware runs slow; the submitter's declared
+                    # size_us is unchanged — it believes the request
+                    # is still small.
+                    request.remaining_us *= slow.factor
+        self._segment_start = sim.now
+        self.current = request
+        self.current_channel = channel
+        self._awaiting = True
+        if not request.never_completes:
+            self._timer = sim.schedule(request.remaining_us, self._on_timer)
+        if self.device.trace.enabled:
+            self.device.trace.emit(
+                sim.now, f"gpu.{self.name}", events.EXEC_BEGIN,
+                task=channel.task.name, channel=channel.channel_id,
+                ref=request.ref,
+            )
+
+    def _on_timer(self) -> None:
+        """The running request's service time is up."""
+        self._awaiting = False
+        self._timer = None
+        sim = self.sim
+        # Settling through a same-instant hop keeps entries already due at
+        # this instant ahead of the retirement.  With none due, that hop
+        # would be the very next entry popped, so the call is made in place.
+        if sim._queue.due(sim.now):
+            sim.schedule_now(self._on_outcome, FINISHED)
+        else:
+            self._on_outcome(FINISHED)
+
+    def _on_outcome(self, tag: str) -> None:
+        if tag is PREEMPTED:
+            self._suspend(self.current_channel, self.current)
+        else:
+            self._retire(self.current_channel, self.current, tag is ABORTED)
+            self._dispatch()
 
     def _switch_cost(self, channel: Channel) -> float:
         if self._last_context is None:
@@ -309,11 +359,11 @@ class ExecutionEngine:
             return self.params.channel_switch_us
         return 0.0
 
-    def _suspend(self, channel: Channel, request: Request, segment_start: float):
-        """Preemption path: charge the executed segment, save state, and
-        requeue the remainder at the head of the channel."""
+    def _suspend(self, channel: Channel, request: Request) -> None:
+        """Preemption path: charge the executed segment, requeue the
+        remainder at the head of the channel, and save state."""
         now = self.sim.now
-        executed = now - segment_start
+        executed = now - self._segment_start
         request.remaining_us = max(0.0, request.remaining_us - executed)
         request.preemptions += 1
         self.preemptions += 1
@@ -324,30 +374,26 @@ class ExecutionEngine:
         self.current = None
         self.current_channel = None
         save = self.params.preemption_save_restore_us
-        yield save
+        self.sim.schedule(save, self._after_save, channel, request, now, save)
+
+    def _after_save(
+        self, channel: Channel, request: Request, preempted_at: float,
+        save: float,
+    ) -> None:
         self.busy_us += save
         self.switch_us += save
         if self.device.trace.enabled:
             self.device.trace.emit(
-                now, f"gpu.{self.name}", events.REQUEST_PREEMPTED,
+                preempted_at, f"gpu.{self.name}", events.REQUEST_PREEMPTED,
                 task=channel.task.name, channel=channel.channel_id,
                 ref=request.ref, remaining_us=request.remaining_us,
             )
+        self._dispatch()
 
-    def _retire(
-        self,
-        channel: Channel,
-        request: Request,
-        aborted: bool,
-        segment_start: Optional[float] = None,
-    ) -> None:
+    def _retire(self, channel: Channel, request: Request, aborted: bool) -> None:
         now = self.sim.now
         request.finish_time = now
-        if segment_start is None:
-            segment_start = (
-                request.start_time if request.start_time is not None else now
-            )
-        service = now - segment_start
+        service = now - self._segment_start
         request.remaining_us = 0.0
         self.busy_us += service
         self.device.charge(channel.task, service, request.kind)

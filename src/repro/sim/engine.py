@@ -91,7 +91,6 @@ class Simulator:
         self._queue = make_queue(self.queue_backend)
         self._seq = 0
         self._running = False
-        self._processes: list[Process] = []
 
     # ------------------------------------------------------------------
     # Scheduling primitives
@@ -149,9 +148,7 @@ class Simulator:
         The generator is stepped for the first time via a zero-delay
         callback, so spawning inside a running callback is safe.
         """
-        process = Process(self, generator, name=name)
-        self._processes.append(process)
-        return process
+        return Process(self, generator, name=name)
 
     # ------------------------------------------------------------------
     # Execution

@@ -35,8 +35,8 @@ class Event:
         callbacks = self._callbacks
         if callbacks:
             self._callbacks = []
-            # Equivalent to sim.schedule_now per callback, inlined: the
-            # trigger fan-out is the hottest dispatch site in the core.
+            # Equivalent to sim.schedule_now per callback, inlined: every
+            # process wakeup on an event passes through this fan-out.
             sim = self.sim
             queue = sim._queue
             now = sim.now

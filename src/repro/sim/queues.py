@@ -69,6 +69,12 @@ class HeapEventQueue:
     push_now = push
 
     # -- popping -------------------------------------------------------
+    def due(self, now: float) -> bool:
+        """True when a stored entry, live or cancelled, is at or before
+        ``now``."""
+        heap = self._heap
+        return bool(heap) and heap[0][0] <= now
+
     def pop_live(self, limit: Optional[float] = None) -> Optional[Entry]:
         """Pop the earliest live entry; discard cancelled ones en route.
 
@@ -182,6 +188,19 @@ class CalendarEventQueue:
         self._fifo.append(entry)
 
     # -- popping -------------------------------------------------------
+    def due(self, now: float) -> bool:
+        """True when a stored entry, live or cancelled, is at or before
+        ``now`` (the current instant of the simulator popping this queue).
+
+        O(1): nothing stored is earlier than the entry last popped, so an
+        entry at or before ``now`` is in the FIFO lane or at the head of
+        the bucket holding ``now``.
+        """
+        if self._fifo:
+            return True
+        bucket = self._buckets.get(int(now * self._width_inv))
+        return bool(bucket) and bucket[0][0] <= now
+
     def pop_live(self, limit: Optional[float] = None) -> Optional[Entry]:
         """Pop the earliest live entry across the FIFO lane and buckets.
 

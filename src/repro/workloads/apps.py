@@ -26,12 +26,14 @@ class ProfiledApp(Workload):
     def body(self):
         profile = self.profile
         channels = {kind: self.open_channel(kind) for kind in profile.kinds()}
+        # Resolved once: a per-round lookup would hash the kind through
+        # ``enum.py``.
+        bursts = [(burst, channels[burst.kind]) for burst in profile.bursts]
         while True:
             start = self.sim.now
             if profile.think_us > 0:
                 yield from self.cpu_work(self.jittered(profile.think_us))
-            for burst in profile.bursts:
-                channel = channels[burst.kind]
+            for burst, channel in bursts:
                 for size in burst.sizes:
                     if burst.pre_gap_us > 0:
                         yield from self.cpu_work(self.jittered(burst.pre_gap_us))

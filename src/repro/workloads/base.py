@@ -10,7 +10,7 @@ post-run statistics (Table 1, Figure 2).
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 import math
 
@@ -173,14 +173,18 @@ class Workload:
     ) -> RoundStats:
         return self.rounds.stats(warmup_us, until_us)
 
-    def mean_request_size(self, kinds: Optional[set] = None) -> float:
+    def mean_request_size(self, kinds: Optional[Iterable] = None) -> float:
         """Mean submitted request size (µs), optionally filtered by kind.
 
         DMA requests are excluded by default, matching Table 1's
         compute/graphics request sizes.
         """
+        # A tuple tests membership by identity; a set would hash every
+        # request's kind through ``enum.py``.
         if kinds is None:
-            kinds = {RequestKind.COMPUTE, RequestKind.GRAPHICS}
+            kinds = (RequestKind.COMPUTE, RequestKind.GRAPHICS)
+        else:
+            kinds = tuple(kinds)
         sizes = [
             request.size_us
             for request in self.requests

@@ -14,7 +14,7 @@ charges = st.lists(
 
 
 @given(charges, st.floats(min_value=1.0, max_value=1e5))
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 def test_conservation_of_charged_overuse(charge_list, timeslice):
     """Total skips x timeslice + residual accrual == total charged."""
     ledger = OveruseLedger(timeslice)

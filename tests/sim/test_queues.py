@@ -12,8 +12,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, TimerHandle
 from repro.sim.queues import (
     COMPACT_MIN_CANCELLED,
     CalendarEventQueue,
@@ -156,3 +158,56 @@ def test_run_until_leaves_future_entries_queued(backend):
     assert sim.pending_events == 1
     sim.run()
     assert fired == ["early", "late"]
+
+
+_DELAYS = st.one_of(
+    st.sampled_from([0.0, 0.0, 0.5, 1.0, 15.99, 16.0, 16.01, 32.0]),
+    st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), _DELAYS),
+        st.tuples(st.just("cancel"), st.integers(min_value=0)),
+        st.tuples(st.just("pop"), st.none()),
+    ),
+    max_size=200,
+)
+
+
+def _due_answers(backend: str, ops) -> list[bool]:
+    """Drive one queue the way the simulator does and check ``due`` at
+    the current instant after every step against a brute-force scan of
+    every stored entry, cancelled ones included."""
+    queue = make_queue(backend)
+    now = 0.0
+    stored = []
+    answers = []
+    for seq, (op, arg) in enumerate(ops):
+        if op == "schedule":
+            handle = TimerHandle(now + arg, seq, queue)
+            entry = (now + arg, seq, handle, None, ())
+            stored.append(entry)
+            if arg == 0.0:
+                queue.push_now(entry)
+            else:
+                queue.push(entry)
+        elif op == "cancel" and stored:
+            stored[arg % len(stored)][2].cancel()
+        elif op == "pop":
+            entry = queue.pop_live(None)
+            if entry is not None:
+                entry[2]._popped = True
+                now = entry[0]
+        # Entries the queue discarded (cancelled ones passed over or
+        # compacted away) are marked popped too.
+        stored = [entry for entry in stored if not entry[2]._popped]
+        expected = any(entry[0] <= now for entry in stored)
+        assert queue.due(now) == expected
+        answers.append(expected)
+    return answers
+
+
+@given(_OPS)
+@settings(max_examples=200, deadline=None)
+def test_due_matches_brute_force_on_both_backends(ops):
+    assert _due_answers("heap", ops) == _due_answers("calendar", ops)
