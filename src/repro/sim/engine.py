@@ -5,27 +5,20 @@ callbacks.  Callbacks scheduled for the same instant fire in the order they
 were scheduled (FIFO tie-breaking by a monotonically increasing sequence
 number), which makes every simulation deterministic.
 
-Two event-queue backends implement that order (see
-:mod:`repro.sim.queues`): the default bucketed calendar queue, and the
-classic single binary heap selectable with ``Simulator(queue="heap")`` or
-the ``REPRO_SIM_QUEUE`` environment variable.  The pop order — and with it
-every simulation trajectory — is identical under both; the property tests
-in ``tests/sim/test_queues.py`` enforce that.
+The callbacks live in a binary-heap :class:`~repro.sim.queues.HeapEventQueue`.
+Scheduling goes through the queue's ``push``/``push_now``; :meth:`Simulator.run`
+is the one place that pops, and it does so inline on the queue's heap list.
 """
 
 from __future__ import annotations
 
-import os
+from heapq import heappop, heappush
+from math import inf
 from typing import Any, Callable, Generator, Optional
 
 from repro.sim.events import Event
 from repro.sim.process import Process
-from repro.sim.queues import COMPACT_MIN_CANCELLED, make_queue
-
-#: Backend used when ``Simulator(queue=None)``: the ``REPRO_SIM_QUEUE``
-#: environment variable ("calendar" or "heap"), read once at import so a
-#: whole experiment run — pool workers included — uses one backend.
-DEFAULT_QUEUE_BACKEND = os.environ.get("REPRO_SIM_QUEUE", "calendar")
+from repro.sim.queues import COMPACT_MIN_CANCELLED, HeapEventQueue
 
 
 class TimerHandle:
@@ -57,9 +50,6 @@ class TimerHandle:
     def cancelled(self) -> bool:
         return self._cancelled
 
-    def __lt__(self, other: "TimerHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self._cancelled else "armed"
         return f"TimerHandle(t={self.time:.3f}, seq={self.seq}, {state})"
@@ -81,14 +71,13 @@ class Simulator:
         sim.run(until=100.0)
     """
 
-    #: Compaction threshold (kept here for introspection; the queue
-    #: backends own the policy — see :mod:`repro.sim.queues`).
+    #: Compaction threshold (kept here for introspection; the queue owns
+    #: the policy — see :mod:`repro.sim.queues`).
     COMPACT_MIN_CANCELLED = COMPACT_MIN_CANCELLED
 
-    def __init__(self, queue: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
-        self.queue_backend = queue or DEFAULT_QUEUE_BACKEND
-        self._queue = make_queue(self.queue_backend)
+        self._queue = HeapEventQueue()
         self._seq = 0
         self._running = False
 
@@ -153,18 +142,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next pending callback.  Returns False when idle."""
-        entry = self._queue.pop_live(None)
-        if entry is None:
-            return False
-        handle = entry[2]
-        if handle is not None:
-            handle._popped = True
-        self.now = entry[0]
-        entry[3](*entry[4])
-        return True
-
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue is empty, or the clock passes ``until``.
 
@@ -175,15 +152,26 @@ class Simulator:
         if self._running:
             raise RuntimeError("Simulator.run is not reentrant")
         self._running = True
-        pop = self._queue.pop_live
+        queue = self._queue
+        # The queue's list itself: compaction rewrites it in place, so it
+        # stays valid while callbacks cancel timers.
+        heap = queue._heap
+        limit = inf if until is None else until
         try:
-            while True:
-                entry = pop(until)
-                if entry is None:
-                    break
+            while heap:
+                entry = heappop(heap)
                 handle = entry[2]
                 if handle is not None:
                     handle._popped = True
+                    if handle._cancelled:
+                        queue._cancelled -= 1
+                        continue
+                if entry[0] > limit:
+                    # Past the horizon: put it back, still cancellable.
+                    heappush(heap, entry)
+                    if handle is not None:
+                        handle._popped = False
+                    break
                 self.now = entry[0]
                 entry[3](*entry[4])
             if until is not None and self.now < until:

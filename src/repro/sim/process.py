@@ -42,7 +42,7 @@ class ProcessKilled(Exception):
 class ProcessCrashed(RuntimeError):
     """An exception escaped a process generator.
 
-    Raised out of :meth:`Simulator.step` chained to the original error
+    Raised out of :meth:`Simulator.run` chained to the original error
     (``__cause__``), naming the failing process and the virtual time of the
     crash — without this, a traceback surfacing from a pool worker gives no
     hint of *which* experiment process died or when.

@@ -115,10 +115,6 @@ def test_run_not_reentrant(sim):
     sim.run()
 
 
-def test_step_returns_false_when_idle(sim):
-    assert sim.step() is False
-
-
 def test_heap_stays_bounded_under_schedule_cancel_loop(sim):
     # The watchdog/polling pattern: schedule a deadline, cancel it, repeat.
     # Without compaction every cancelled handle lingers until popped.
