@@ -29,6 +29,11 @@ JSONL_VERSION = 1
 # JSONL
 # ----------------------------------------------------------------------
 
+#: One encoder for every line (``json.dumps(..., sort_keys=True)`` would
+#: build a fresh one per record); same defaults, so the same bytes.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def write_jsonl(trace: TraceRecorder, stream: IO[str]) -> int:
     """Write a header line plus one line per record; returns record count."""
     first, last = trace.span_us
@@ -39,7 +44,8 @@ def write_jsonl(trace: TraceRecorder, stream: IO[str]) -> int:
         "dropped": trace.dropped,
         "span_us": [first, last],
     }
-    stream.write(json.dumps(header, sort_keys=True) + "\n")
+    encode = _ENCODER.encode
+    stream.write(encode(header) + "\n")
     count = 0
     for record in trace.records():
         line = {
@@ -49,7 +55,7 @@ def write_jsonl(trace: TraceRecorder, stream: IO[str]) -> int:
         }
         if record.payload:
             line["p"] = record.payload
-        stream.write(json.dumps(line, sort_keys=True) + "\n")
+        stream.write(encode(line) + "\n")
         count += 1
     return count
 

@@ -268,6 +268,11 @@ class ExecInterval:
     end_us: int
 
 
+#: One device's blame lookup: interval starts, running max of their
+#: ends, and the intervals themselves (all in ``exec_intervals`` order).
+_DeviceTable = tuple[list[int], list[int], list[ExecInterval]]
+
+
 @dataclass(frozen=True)
 class MigrationLink:
     """The join between a task's pre- and post-migration span epochs."""
@@ -745,6 +750,10 @@ class SpanSet:
     migrations: list[MigrationLink]
     exec_intervals: list[ExecInterval]
     end_us: float
+    #: Per-device blame tables, built on first :meth:`blame` call.
+    _blame_tables: Optional[dict[int, _DeviceTable]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     # -- selection ------------------------------------------------------
     def select(
@@ -786,25 +795,30 @@ class SpanSet:
                 totals[label] = totals.get(label, 0) + value
         return totals
 
+    def _device_tables(self) -> dict[int, _DeviceTable]:
+        if self._blame_tables is None:
+            by_device: dict[int, list[ExecInterval]] = {}
+            for interval in self.exec_intervals:
+                by_device.setdefault(interval.device, []).append(interval)
+            tables: dict[int, _DeviceTable] = {}
+            for device, intervals in by_device.items():
+                starts = [iv.start_us for iv in intervals]
+                max_end: list[int] = []
+                running = 0
+                for interval in intervals:
+                    running = max(running, interval.end_us)
+                    max_end.append(running)
+                tables[device] = (starts, max_end, intervals)
+            self._blame_tables = tables
+        return self._blame_tables
+
     def blame(self, spans: Iterable[Span]) -> dict[str, int]:
         """Interference: µs of other tenants' engine occupancy
         overlapping the given spans' wait segments, per occupant.
 
         The per-victim rows of the tenant×tenant blame matrix come from
         calling this once per victim's span subset."""
-        by_device: dict[int, list[ExecInterval]] = {}
-        for interval in self.exec_intervals:
-            by_device.setdefault(interval.device, []).append(interval)
-        prepared: dict[int, tuple[list[int], list[int], list[ExecInterval]]]
-        prepared = {}
-        for device, intervals in by_device.items():
-            starts = [iv.start_us for iv in intervals]
-            max_end: list[int] = []
-            running = 0
-            for interval in intervals:
-                running = max(running, interval.end_us)
-                max_end.append(running)
-            prepared[device] = (starts, max_end, intervals)
+        prepared = self._device_tables()
         out: dict[str, int] = {}
         for span in spans:
             entry = prepared.get(span.device)

@@ -175,17 +175,28 @@ def worst_window(
     holds a completed span."""
     if window_us <= 0:
         raise ValueError("window_us must be positive")
-    worst: Optional[tuple[str, float, float, float]] = None
     windows = max(1, math.ceil(span_set.end_us / window_us))
-    for index in range(windows):
+    # One pass over the spans: bucket each by the windows whose
+    # ``[start, start + window_us)`` holds its end.  Float rounding can
+    # put an end in a neighbour of ``end // window_us`` (or in two
+    # windows), so the three candidates get the exact per-window test.
+    by_window: dict[int, dict[str, list[float]]] = {}
+    for span in span_set.select(task=task, device=device, terminal="complete"):
+        end_us = span.end_us
+        guess = int(end_us // window_us)
+        for index in (guess - 1, guess, guess + 1):
+            if not 0 <= index < windows:
+                continue
+            start = index * window_us
+            if start <= end_us < start + window_us:
+                by_window.setdefault(index, {}).setdefault(
+                    span.task, []
+                ).append(_span_latency(span))
+    worst: Optional[tuple[str, float, float, float]] = None
+    for index in sorted(by_window):
         start = index * window_us
         end = start + window_us
-        by_task: dict[str, list[float]] = {}
-        for span in span_set.select(
-            task=task, device=device, start_us=start, end_us=end,
-            terminal="complete",
-        ):
-            by_task.setdefault(span.task, []).append(_span_latency(span))
+        by_task = by_window[index]
         for name in sorted(by_task):
             p99 = _quantile(by_task[name], 0.99)
             if worst is None or p99 > worst[3]:

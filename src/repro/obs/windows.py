@@ -72,8 +72,9 @@ class WindowConfig:
     #: Fixed latency bin width; quantiles are deterministic to this
     #: resolution (a quantile is the upper edge of its bin).
     latency_bin_us: float = 50.0
-    #: Values at or above this go to the overflow bin (reported as the
-    #: exact tracked maximum).
+    #: Start of the overflow bin, rounded up to a whole bin: values from
+    #: ``ceil(max / bin) * bin`` up go there and are reported as the
+    #: exact tracked maximum.
     latency_max_us: float = 1_000_000.0
 
     def __post_init__(self) -> None:
@@ -108,17 +109,27 @@ class FixedBinLatency:
     Bins are ``[i*bin_us, (i+1)*bin_us)``; a quantile is the *upper edge*
     of the bin holding the ``ceil(q*n)``-th observation, so it
     over-estimates by at most one bin width (the tolerance the tests
-    assert against exact sorted quantiles).  Overflow observations
-    (``>= max_us``) report the exact tracked maximum instead, so extreme
-    tails are never under-stated.  Mergeable, for sliding windows.
+    assert against exact sorted quantiles).  Bin ``ceil(max_us / bin_us)``
+    is the overflow bin: it holds everything from its lower edge up
+    (``>= max_us`` when ``bin_us`` divides ``max_us``) and reports the
+    exact tracked maximum instead, so extreme tails are never
+    under-stated.  Mergeable, for sliding windows.
+
+    ``counts`` is sparse (occupied bin index -> count): storage, merge
+    and quantile cost follow the occupied bins, not the configured range
+    ``max_us / bin_us``.
     """
 
-    __slots__ = ("bin_us", "max_us", "counts", "count", "total", "min", "max")
+    __slots__ = (
+        "bin_us", "max_us", "overflow", "counts", "count", "total", "min", "max",
+    )
 
     def __init__(self, bin_us: float, max_us: float) -> None:
         self.bin_us = float(bin_us)
         self.max_us = float(max_us)
-        self.counts = [0] * (int(math.ceil(max_us / bin_us)) + 1)
+        #: Index of the overflow bin (the last one).
+        self.overflow = int(math.ceil(max_us / bin_us))
+        self.counts: dict[int, int] = {}
         self.count = 0
         self.total = 0.0
         self.min = math.inf
@@ -128,9 +139,10 @@ class FixedBinLatency:
         index = int(value // self.bin_us)
         if value < 0:
             index = 0
-        elif index >= len(self.counts) - 1:
-            index = len(self.counts) - 1
-        self.counts[index] += 1
+        elif index >= self.overflow:
+            index = self.overflow
+        counts = self.counts
+        counts[index] = counts.get(index, 0) + 1
         self.count += 1
         self.total += value
         if value < self.min:
@@ -141,8 +153,9 @@ class FixedBinLatency:
     def merge(self, other: "FixedBinLatency") -> None:
         if (other.bin_us, other.max_us) != (self.bin_us, self.max_us):
             raise ValueError("cannot merge histograms with different bins")
-        for index, bucket in enumerate(other.counts):
-            self.counts[index] += bucket
+        counts = self.counts
+        for index, bucket in other.counts.items():
+            counts[index] = counts.get(index, 0) + bucket
         self.count += other.count
         self.total += other.total
         if other.count:
@@ -160,11 +173,12 @@ class FixedBinLatency:
         if self.count == 0:
             return None
         rank = max(1, int(math.ceil(q * self.count)))
+        counts = self.counts
         seen = 0
-        for index, bucket in enumerate(self.counts):
-            seen += bucket
+        for index in sorted(counts):
+            seen += counts[index]
             if seen >= rank:
-                if index == len(self.counts) - 1:
+                if index == self.overflow:
                     return self.max  # overflow: exact tracked maximum
                 return (index + 1) * self.bin_us
         return self.max

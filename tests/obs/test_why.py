@@ -1,12 +1,16 @@
 """``repro why``: window selection, attribution, report mode, compare."""
 
 import json
+import math
+import random
 
 import pytest
 
 from repro.cli import main as repro_main
 from repro.obs.monitor import main as monitor_main
-from repro.obs.why import blame_line, main as why_main
+from repro.obs.spans import Span, SpanSet
+from repro.obs.why import _quantile, _span_latency, blame_line, worst_window
+from repro.obs.why import main as why_main
 
 #: Deliberately overloaded figure4-style tenant: glxgears contending
 #: with three BitonicSort instances under DFQ (the acceptance scenario).
@@ -106,6 +110,81 @@ def test_top_level_cli_delegates(capsys):
         "--duration-ms", "40",
     ]) == 0
     assert "WHY dominant=" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# worst_window vs a brute-force per-window scan
+# ----------------------------------------------------------------------
+
+def _brute_force_worst_window(span_set, window_us, task=None, device=None):
+    """Reference: one ``select`` per window, in window order."""
+    worst = None
+    windows = max(1, math.ceil(span_set.end_us / window_us))
+    for index in range(windows):
+        start = index * window_us
+        end = start + window_us
+        by_task = {}
+        for span in span_set.select(
+            task=task, device=device, start_us=start, end_us=end,
+            terminal="complete",
+        ):
+            by_task.setdefault(span.task, []).append(_span_latency(span))
+        for name in sorted(by_task):
+            p99 = _quantile(by_task[name], 0.99)
+            if worst is None or p99 > worst[3]:
+                worst = (name, start, end, p99)
+    return worst
+
+
+def _random_span_set(seed, window_us):
+    rng = random.Random(seed)
+    windows = rng.randint(1, 40)
+    end_us = windows * window_us - rng.choice([0.0, window_us / 3])
+    spans = []
+    for span_id in range(rng.randint(0, 120)):
+        k = rng.randint(0, windows)
+        end = rng.choice([
+            rng.uniform(0.0, end_us),
+            k * window_us,  # exactly a window start
+            (k - 1) * window_us + window_us,  # the previous window's end
+            k / (1.0 / window_us),  # the same edge, rounded differently
+            end_us,
+        ])
+        duration = rng.choice([5, 5, 40, 400, rng.randint(1, 900)])
+        spans.append(Span(
+            span_id=span_id,
+            task=rng.choice(["a", "b", "c"]),
+            device=rng.randint(0, 1),
+            channel=None,
+            ref=None,
+            start_us=max(0.0, end - duration),
+            end_us=end,
+            terminal=rng.choice(["complete", "complete", "complete", "killed"]),
+            migration_epoch=0,
+            segments=(),
+            components={"exec": duration},
+        ))
+    return SpanSet(spans, [], [], [], end_us)
+
+
+@pytest.mark.parametrize("window_us", [1_000.0, 333.3, 0.1, 7.0 / 3.0])
+@pytest.mark.parametrize("seed", range(12))
+def test_worst_window_matches_brute_force(seed, window_us):
+    span_set = _random_span_set(seed, window_us)
+    for task, device in [(None, None), ("a", None), (None, 1), ("b", 0)]:
+        assert worst_window(span_set, window_us, task=task, device=device) == (
+            _brute_force_worst_window(span_set, window_us, task, device)
+        )
+
+
+def test_worst_window_span_on_boundary_opens_next_window():
+    spans = [
+        Span(i, "a", 0, None, None, 0.0, end, "complete", 0, (), {"exec": d})
+        for i, (end, d) in enumerate([(50.0, 10), (100.0, 90), (150.0, 20)])
+    ]
+    span_set = SpanSet(spans, [], [], [], 200.0)
+    assert worst_window(span_set, 100.0) == ("a", 100.0, 200.0, 90)
+    assert worst_window(SpanSet([], [], [], [], 200.0), 100.0) is None
 
 
 # ----------------------------------------------------------------------

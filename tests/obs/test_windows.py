@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.windows import (
     FixedBinLatency,
@@ -89,6 +91,140 @@ def test_fixed_bin_merge_matches_combined_stream():
     assert left.counts == combined.counts
     assert left.count == combined.count
     assert left.quantile(0.95) == combined.quantile(0.95)
+
+
+class DenseBinLatency:
+    """Reference: the dense list-of-counts histogram the sparse
+    :class:`FixedBinLatency` replaced, one slot per configured bin."""
+
+    def __init__(self, bin_us, max_us):
+        self.bin_us = float(bin_us)
+        self.max_us = float(max_us)
+        self.counts = [0] * (int(math.ceil(max_us / bin_us)) + 1)
+        self.count = 0
+        self.total = 0.0
+        self.min = math.inf
+        self.max = -math.inf
+
+    def observe(self, value):
+        index = int(value // self.bin_us)
+        if value < 0:
+            index = 0
+        elif index >= len(self.counts) - 1:
+            index = len(self.counts) - 1
+        self.counts[index] += 1
+        self.count += 1
+        self.total += value
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+
+    def merge(self, other):
+        for index, bucket in enumerate(other.counts):
+            self.counts[index] += bucket
+        self.count += other.count
+        self.total += other.total
+        if other.count:
+            self.min = min(self.min, other.min)
+            self.max = max(self.max, other.max)
+
+    def mean(self):
+        if self.count == 0:
+            return None
+        return self.total / self.count
+
+    def quantile(self, q):
+        if self.count == 0:
+            return None
+        rank = max(1, int(math.ceil(q * self.count)))
+        seen = 0
+        for index, bucket in enumerate(self.counts):
+            seen += bucket
+            if seen >= rank:
+                if index == len(self.counts) - 1:
+                    return self.max
+                return (index + 1) * self.bin_us
+        return self.max
+
+    def copy(self):
+        out = DenseBinLatency(self.bin_us, self.max_us)
+        out.merge(self)
+        return out
+
+
+#: (bin_us, max_us): widths that divide the range and widths that do not.
+HISTOGRAM_SHAPES = [
+    (50.0, 1_000.0),
+    (25.0, 100.0),
+    (30.0, 1_000.0),
+    (7.5, 200.0),
+    (0.3, 10.0),
+    (1_000.0, 1_000.0),
+]
+
+
+@st.composite
+def histogram_programs(draw):
+    bin_us, max_us = draw(st.sampled_from(HISTOGRAM_SHAPES))
+    edges = int(math.ceil(max_us / bin_us))
+    value = st.one_of(
+        st.floats(min_value=-1e3, max_value=-1e-9),
+        st.floats(min_value=0.0, max_value=max_us),
+        # Bin edges, including those at and past the overflow bin's.
+        st.integers(0, edges + 2).map(lambda k: k * bin_us),
+        st.just(max_us),
+        st.floats(min_value=max_us, max_value=max_us + 3 * bin_us),
+        st.floats(min_value=max_us, max_value=1e7),
+    )
+    slot = st.integers(0, 2)
+    op = st.one_of(
+        st.tuples(st.just("observe"), slot, value),
+        st.tuples(st.just("merge"), slot, slot),
+        st.tuples(st.just("copy"), slot, slot),
+    )
+    return bin_us, max_us, draw(st.lists(op, max_size=60))
+
+
+def _assert_same_histogram(sparse, dense):
+    assert sparse.counts == {
+        index: bucket for index, bucket in enumerate(dense.counts) if bucket
+    }
+    assert sparse.count == dense.count
+    assert sparse.total == dense.total
+    assert sparse.min == dense.min
+    assert sparse.max == dense.max
+    assert sparse.mean() == dense.mean()
+    for q in (0.0, 0.5, 0.95, 0.99, 1.0):
+        assert sparse.quantile(q) == dense.quantile(q)
+
+
+@given(histogram_programs())
+@settings(max_examples=200, deadline=None)
+def test_sparse_histogram_matches_dense_reference(program):
+    bin_us, max_us, ops = program
+    sparse = [FixedBinLatency(bin_us, max_us) for _ in range(3)]
+    dense = [DenseBinLatency(bin_us, max_us) for _ in range(3)]
+    for name, target, arg in ops:
+        if name == "observe":
+            sparse[target].observe(arg)
+            dense[target].observe(arg)
+        elif name == "merge":
+            sparse[target].merge(sparse[arg])
+            dense[target].merge(dense[arg])
+        else:
+            sparse[target] = sparse[arg].copy()
+            dense[target] = dense[arg].copy()
+        _assert_same_histogram(sparse[target], dense[target])
+    for left, right in zip(sparse, dense):
+        _assert_same_histogram(left, right)
+
+
+def test_fixed_bin_merge_rejects_different_bins():
+    with pytest.raises(ValueError):
+        FixedBinLatency(50.0, 1_000.0).merge(FixedBinLatency(25.0, 1_000.0))
+    with pytest.raises(ValueError):
+        FixedBinLatency(50.0, 1_000.0).merge(FixedBinLatency(50.0, 2_000.0))
 
 
 # ----------------------------------------------------------------------
@@ -299,6 +435,29 @@ def test_long_horizon_thousand_windows():
             assert stats.latency is not None
             assert stats.latency.quantile(0.99) is not None
         assert not math.isnan(snapshot.jain)
+
+
+@pytest.mark.parametrize("slide_us", [None, 250.0])
+def test_window_histograms_hold_only_occupied_bins(slide_us):
+    # Default latency range: 1e6 / 50 + 1 = 20,001 configured bins.  A
+    # window's storage must follow the bins its latencies hit, through
+    # bucket close and (with a slide) the k-bucket merge.
+    config = WindowConfig(1_000.0, slide_us=slide_us)
+    assert int(math.ceil(config.latency_max_us / config.latency_bin_us)) + 1 == 20_001
+    aggregator = WindowAggregator(config)
+    aggregator.keep_snapshots = 1_000
+    latencies = [float((i * 13) % 500) for i in range(20_000)]
+    step = 1_000_000.0 / len(latencies)
+    for i, latency in enumerate(latencies):
+        aggregator(_completion((i + 1) * step, "a" if i % 2 else "b", latency))
+    aggregator.finish(1_000_000.0)
+    observed_bins = {int(v // config.latency_bin_us) for v in latencies}
+    assert len(observed_bins) == 10
+    assert len(aggregator.snapshots) == 1_000
+    for snapshot in aggregator.snapshots:
+        for stats in snapshot.tenants.values():
+            assert 0 < len(stats.latency.counts) <= len(observed_bins)
+            assert all(bucket > 0 for bucket in stats.latency.counts.values())
 
 
 def test_keep_snapshots_caps_memory():
