@@ -241,9 +241,9 @@ class SimulationEnv:
     def reincarnate(self, tenant, dst_stack: DeviceStack) -> None:
         """Restart a tenant of a lost device on the chosen survivor.
 
-        Called from the tenant's own kill handler; spawns a fresh process
-        (charged the migration cost up front) bound to a fresh task on
-        the destination kernel.
+        Called from the tenant's own kill handler; restarts the tenant
+        (charged the migration cost up front) on a fresh task on the
+        destination kernel.
         """
         from repro.fleet.migration import MigrationRecord
 
@@ -259,10 +259,8 @@ class SimulationEnv:
         task.workload = tenant
         tenant.kernel = dst_stack.kernel
         tenant.task = task
-        tenant._pipelines.clear()
-        task.process = self.sim.spawn(
-            self._restart(tenant, cost), name=f"task.{tenant.name}"
-        )
+        task.process = tenant
+        tenant.restart(cost)
         self.tenant_device[tenant.name] = dst
         self.placement.departed(src)
         self.placement.placed(dst)
@@ -279,11 +277,6 @@ class SimulationEnv:
                 task=tenant.name, src=src, dst=dst, reason="device_loss",
                 cost_us=cost,
             )
-
-    def _restart(self, tenant, cost: float):
-        if cost > 0:
-            yield cost
-        yield from tenant._run()
 
     def _loss_controller(self):
         """Poll the injector for armed ``fleet.device_loss`` specs."""

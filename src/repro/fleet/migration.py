@@ -146,7 +146,6 @@ class MigrationManager:
             )
         # Tear down on the source: contexts killed, scheduler state
         # (virtual time, engagement tracking) released via on_task_exit.
-        process = tenant.task.process
         src_stack.kernel.exit_task(tenant.task)
         cost = fleet.costs.migration_cost_us
         if cost > 0:
@@ -156,7 +155,7 @@ class MigrationManager:
         # (context re-create) when it resumes.
         task = dst_stack.kernel.create_task(tenant.name)
         task.workload = tenant
-        task.process = process
+        task.process = tenant
         tenant.kernel = dst_stack.kernel
         tenant.task = task
         tenant._pipelines.clear()

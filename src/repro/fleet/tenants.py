@@ -12,8 +12,8 @@ cooperates with the fleet's migration protocol:
   to the target kernel.  The tenant then reopens its channel there.
 * **device loss** — the env marks the tenant for reincarnation and
   kills its task with the rest of the lost device.  The overridden
-  ``_run`` catches the kill and, instead of dying, restarts the body as
-  a fresh task on the surviving device the env chose.  Without a
+  ``on_killed`` catches the kill and, instead of dying, restarts the
+  state machine as a fresh task on the surviving device the env chose.  Without a
   survivor the kill stands (escalation), exactly like any other
   protective kill.
 
@@ -25,9 +25,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.errors import OutOfResourcesError
 from repro.gpu.request import RequestKind
-from repro.sim.process import ProcessKilled
 from repro.workloads.base import Workload
 
 
@@ -74,50 +72,60 @@ class FleetTenant(Workload):
         return self.request_size_us * self.sleep_ratio / (1.0 - self.sleep_ratio)
 
     # ------------------------------------------------------------------
-    # Body: Throttle loop with a park point at each round top
+    # Steps: a Throttle loop with a park point at each round top
     # ------------------------------------------------------------------
-    def body(self):
-        channel = self.open_channel(self.request_kind)
-        while True:
-            move = self._move
-            if move is not None:
-                channel = yield from self._park(move)
-                continue
-            start = self.sim.now
-            size = (
-                self.jittered(self.request_size_us, self.jitter_sigma)
-                if self.jitter_sigma > 0
-                else self.request_size_us
-            )
-            yield from self.submit(channel, size)
-            self.rounds.record(start, self.sim.now)
-            if self.sleep_us > 0:
-                yield self.sleep_us
+    def run(self) -> None:
+        self._channel = self.open_channel(self.request_kind)
+        self._round()
 
-    def _park(self, move):
-        """Quiesce for a planned move; resumes on the target device."""
-        move.parked = True
-        yield move.resumed
+    def _round(self) -> None:
+        move = self._move
+        if move is not None:
+            # Quiesce for a planned move; resume on the target device.
+            move.parked = True
+            self.wait(move.resumed, self._unpark)
+            return
+        self._start = self.sim.now
+        size = (
+            self.jittered(self.request_size_us, self.jitter_sigma)
+            if self.jitter_sigma > 0
+            else self.request_size_us
+        )
+        self.submit(self._channel, size, self._completed)
+
+    def _unpark(self) -> None:
         self._move = None
-        return self.open_channel(self.request_kind)
+        self._channel = self.open_channel(self.request_kind)
+        self._round()
+
+    def _completed(self) -> None:
+        self.rounds.record(self._start, self.sim.now)
+        if self.sleep_us > 0:
+            self.sleep(self.sleep_us, self._round)
+        else:
+            self._round()
 
     # ------------------------------------------------------------------
     # Lifecycle: reincarnate on device loss
     # ------------------------------------------------------------------
-    def _run(self):
-        try:
-            yield from self.body()
-        except ProcessKilled:
-            destination = self._reincarnation
-            if destination is None or self.fleet is None:
-                self.killed = True
-                return
-            self._reincarnation = None
-            self._move = None
-            # The env rebinds us to the surviving device and spawns
-            # a fresh process running this generator again.
-            self.fleet.reincarnate(self, destination)
+    def on_killed(self, reason: str) -> None:
+        destination = self._reincarnation
+        if destination is None or self.fleet is None:
+            self.killed = True
             return
-        except OutOfResourcesError as error:
-            self.setup_error = error
-        self.kernel.exit_task(self.task)
+        self._reincarnation = None
+        self._move = None
+        # The env rebinds us to the surviving device and restarts the
+        # state machine there.
+        self.fleet.reincarnate(self, destination)
+
+    def restart(self, cost_us: float) -> None:
+        """Start over on a fresh task, ``cost_us`` of migration later."""
+        self._pipelines.clear()
+        self.launch(self._migrated, cost_us)
+
+    def _migrated(self, cost_us: float) -> None:
+        if cost_us > 0:
+            self.sleep(cost_us, self._enter)
+        else:
+            self._enter()

@@ -23,6 +23,7 @@ from repro.osmodel.pagetable import RegisterPage
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.context import GpuContext
     from repro.osmodel.task import Task
+    from repro.sim.engine import Simulator
 
 _channel_ids = itertools.count(1)
 
@@ -30,10 +31,17 @@ _channel_ids = itertools.count(1)
 class Channel:
     """One hardware request queue owned by a single context/task."""
 
-    def __init__(self, context: "GpuContext", kind: RequestKind) -> None:
+    def __init__(
+        self,
+        context: "GpuContext",
+        kind: RequestKind,
+        sim: Optional["Simulator"] = None,
+    ) -> None:
         self.channel_id = next(_channel_ids)
         self.context = context
         self.kind = kind
+        #: The device's simulator; settling a request pushes its waiter here.
+        self.sim = sim
         self.register_page = RegisterPage(self.channel_id)
         #: Requests submitted but not yet started by the engine.
         self.queue: deque[Request] = deque()

@@ -101,7 +101,7 @@ class GpuDevice:
             raise OutOfResourcesError(
                 f"device supports at most {self.params.total_channels} channels"
             )
-        channel = Channel(context, kind)
+        channel = Channel(context, kind, self.sim)
         context.add_channel(channel)
         self.channels[channel.channel_id] = channel
         self._engine_for(kind).register_channel(channel)
@@ -118,17 +118,16 @@ class GpuDevice:
     # ------------------------------------------------------------------
     # Request path
     # ------------------------------------------------------------------
-    def submit(self, channel: Channel, request: Request) -> Event:
+    def submit(self, channel: Channel, request: Request) -> None:
         """Hardware-side submission: enqueue and kick the engine.
 
-        Returns the completion event the submitter (or the scheduler) may
-        wait on.  This models the doorbell write having reached the device;
-        all software-side costs (MMIO write, faults) are charged by the
-        kernel model before calling this.
+        This models the doorbell write having reached the device; all
+        software-side costs (MMIO write, faults) are charged by the kernel
+        model before calling this.  Completion reaches software through
+        the request itself (:meth:`Request.settle`).
         """
         self._enqueue_one(channel, request)
         self._engine_for(channel.kind).notify()
-        return request.completion
 
     def submit_batch(self, channel: Channel, requests: list[Request]) -> list[Event]:
         """Enqueue back-to-back requests on one channel, kicking the engine
@@ -137,7 +136,7 @@ class GpuDevice:
         The batched doorbell path: all requests land on the ring buffer at
         the current instant and the engine is notified with a *single*
         wake event, instead of one notify per request.  Returns the
-        completion events in submission order.
+        requests' completion events in submission order.
         """
         for request in requests:
             self._enqueue_one(channel, request)
@@ -147,7 +146,6 @@ class GpuDevice:
 
     def _enqueue_one(self, channel: Channel, request: Request) -> None:
         """Shared per-request hardware-side submission (no engine kick)."""
-        request.completion = self.sim.event()
         if self.faults is not None:
             if self.faults.arm(fault_points.GPU_REQUEST_HANG, channel.task.name):
                 # The engine will start this request and never finish it.
@@ -200,8 +198,7 @@ class GpuDevice:
             channel.advance_refcounter(channel.last_submitted_ref)
             self._engine_for(channel.kind).unregister_channel(channel)
             for request in casualties:
-                if request.completion is not None and not request.completion.triggered:
-                    request.completion.trigger(request)
+                request.settle()
         self.memory.release_context(context)
         self.main_engine.inject_stall(self.params.context_cleanup_us)
         if self.trace.enabled:

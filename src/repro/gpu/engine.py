@@ -437,7 +437,7 @@ class ExecutionEngine:
         aborted: bool,
     ) -> None:
         """Make a retired request's completion visible to software: bump
-        the reference counter, account it, and trigger waiters.  Runs
+        the reference counter, account it, and settle the request.  Runs
         immediately on retirement, or late under a refcounter-stall fault."""
         now = self.sim.now
         latency_us: Optional[float] = None
@@ -469,5 +469,4 @@ class ExecutionEngine:
                 events.REQUEST_ABORTED if aborted else events.REQUEST_COMPLETE,
                 **payload,
             )
-        if request.completion is not None and not request.completion.triggered:
-            request.completion.trigger(request)
+        request.settle()

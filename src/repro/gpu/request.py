@@ -7,9 +7,10 @@ import itertools
 import math
 from typing import TYPE_CHECKING, Optional
 
+from repro.sim.events import Event
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.channel import Channel
-    from repro.sim.events import Event
 
 
 class RequestKind(enum.Enum):
@@ -33,6 +34,11 @@ class Request:
     A request's ``ref`` is the per-channel reference-counter value the
     hardware writes upon its completion — the completion-detection handle
     both the user-level library and the NEON polling service rely on.
+
+    Software learns of completion through :meth:`settle`: it sets ``done``
+    and pushes the request's one ``waiter`` continuation, if any.
+    Callers that prefer an :class:`~repro.sim.events.Event` read
+    :attr:`completion`, which is created on first use.
     """
 
     __slots__ = (
@@ -48,7 +54,9 @@ class Request:
         "finish_time",
         "aborted",
         "preemptions",
-        "completion",
+        "done",
+        "waiter",
+        "_completion",
     )
 
     def __init__(
@@ -74,7 +82,47 @@ class Request:
         self.start_time: Optional[float] = None
         self.finish_time: Optional[float] = None
         self.aborted = False
-        self.completion: Optional["Event"] = None
+        #: Set once the request completed or was aborted.
+        self.done = False
+        #: ``(fn, args)`` pushed at the current instant when the request
+        #: settles; one waiter at most.
+        self.waiter: Optional[tuple] = None
+        self._completion: Optional["Event"] = None
+
+    @property
+    def completion(self) -> "Event":
+        """A one-shot event triggered (with the request) when it settles.
+
+        Created on first read, so requests nobody waits on this way cost
+        no event.  Needs the request to have been enqueued on a device
+        channel (the channel carries the simulator).
+        """
+        event = self._completion
+        if event is None:
+            event = self._completion = Event(self.channel.sim)
+            if self.done:
+                event.triggered = True
+                event.value = self
+        return event
+
+    def settle(self) -> None:
+        """Mark the request done and wake its waiter (complete or abort).
+
+        The waiter is pushed at the current instant, where triggering a
+        completion event would have pushed it; settling twice is a no-op.
+        """
+        if self.done:
+            return
+        self.done = True
+        waiter = self.waiter
+        if waiter is not None:
+            self.waiter = None
+            sim = self.channel.sim
+            sim._queue.push_now((sim.now, sim._seq, None, waiter[0], waiter[1]))
+            sim._seq += 1
+        event = self._completion
+        if event is not None:
+            event.trigger(self)
 
     @property
     def never_completes(self) -> bool:

@@ -84,12 +84,26 @@ class Counter:
         return {label: self._values[label] for label in sorted(self._values)}
 
 
+class _Series:
+    """One label's record in a :class:`Histogram`."""
+
+    __slots__ = ("count", "sum", "min", "max", "buckets")
+
+    def __init__(self, first: float, width: int) -> None:
+        self.count = 0
+        self.sum = 0.0
+        self.min = first
+        self.max = first
+        self.buckets = [0] * width
+
+
 class Histogram:
     """Bucketed distribution per label (cumulative-style buckets).
 
     ``buckets`` are inclusive upper bounds; an implicit overflow bucket
     catches everything larger.  Count, sum, min, and max are tracked
-    exactly, so means are exact and percentiles bucket-accurate.
+    exactly, so means are exact and percentiles bucket-accurate.  Each
+    label keeps one record, so an observation costs one dict lookup.
     """
 
     def __init__(
@@ -103,50 +117,41 @@ class Histogram:
         self.name = name
         self.description = description
         self.buckets = tuple(float(bound) for bound in buckets)
-        self._counts: dict[str, list[int]] = {}
-        self._sum: dict[str, float] = {}
-        self._count: dict[str, int] = {}
-        self._min: dict[str, float] = {}
-        self._max: dict[str, float] = {}
+        self._series: dict[str, _Series] = {}
 
     def observe(self, label: str, value: float) -> None:
-        counts = self._counts.get(label)
-        if counts is None:
-            counts = [0] * (len(self.buckets) + 1)
-            self._counts[label] = counts
-            self._sum[label] = 0.0
-            self._count[label] = 0
-            self._min[label] = value
-            self._max[label] = value
-        counts[bisect_left(self.buckets, value)] += 1
-        self._sum[label] += value
-        self._count[label] += 1
-        if value < self._min[label]:
-            self._min[label] = value
-        elif value > self._max[label]:
-            self._max[label] = value
+        series = self._series.get(label)
+        if series is None:
+            series = self._series[label] = _Series(value, len(self.buckets) + 1)
+        series.buckets[bisect_left(self.buckets, value)] += 1
+        series.sum += value
+        series.count += 1
+        if value < series.min:
+            series.min = value
+        elif value > series.max:
+            series.max = value
 
     def count(self, label: str = "") -> int:
-        return self._count.get(label, 0)
+        series = self._series.get(label)
+        return 0 if series is None else series.count
 
     def mean(self, label: str = "") -> Optional[float]:
-        count = self._count.get(label, 0)
-        if count == 0:
+        series = self._series.get(label)
+        if series is None or series.count == 0:
             return None
-        return self._sum[label] / count
+        return series.sum / series.count
 
     def quantile(self, label: str, q: float) -> Optional[float]:
         """Bucket-resolution quantile: the upper bound of the bucket the
         q-th observation falls in (``inf`` for the overflow bucket)."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
-        counts = self._counts.get(label)
-        total = self._count.get(label, 0)
-        if not counts or total == 0:
+        series = self._series.get(label)
+        if series is None or series.count == 0:
             return None
-        rank = q * total
+        rank = q * series.count
         seen = 0
-        for position, bucket_count in enumerate(counts):
+        for position, bucket_count in enumerate(series.buckets):
             seen += bucket_count
             if seen >= rank and bucket_count:
                 if position < len(self.buckets):
@@ -156,13 +161,14 @@ class Histogram:
 
     def snapshot(self) -> dict[str, dict]:
         out: dict[str, dict] = {}
-        for label in sorted(self._counts):
+        for label in sorted(self._series):
+            series = self._series[label]
             out[label] = {
-                "count": self._count[label],
-                "sum": self._sum[label],
-                "min": self._min[label],
-                "max": self._max[label],
-                "buckets": list(self._counts[label]),
+                "count": series.count,
+                "sum": series.sum,
+                "min": series.min,
+                "max": series.max,
+                "buckets": list(series.buckets),
             }
         return out
 

@@ -659,8 +659,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         file=sys.stderr,
     )
     if args.report is not None:
+        # One line through the C encoder: ``indent`` would force the
+        # pure-Python one, which costs seconds on a long run's windows.
         Path(args.report).write_text(
-            json.dumps(session.report(), indent=2, sort_keys=True) + "\n"
+            json.dumps(session.report(), sort_keys=True) + "\n"
         )
         print(f"monitor: report written to {args.report}", file=sys.stderr)
     if args.trace_out is not None and session.record_stream is not None:

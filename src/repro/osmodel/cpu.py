@@ -59,14 +59,53 @@ class CpuPool:
             if duration_us > 0:
                 yield duration_us
         finally:
-            executed = self.sim.now - started
-            self.usage_us[owner] = self.usage_us.get(owner, 0.0) + executed
-            self._in_use -= 1
-            while self._waiters and self._in_use < self.cores:
-                waiter = self._waiters.popleft()
-                if not waiter.triggered:
-                    waiter.trigger()
-                    break
+            self.release(owner, started)
+
+    def run(self, runner, duration_us: float, owner: str, fn, args: tuple) -> None:
+        """Callback counterpart of :meth:`execute`: run ``duration_us`` of
+        CPU work for ``runner``, then call ``fn(*args)``.
+
+        ``runner`` supplies the waits (``sleep``/``wait``) and records the
+        held core in ``runner.core`` so a kill can release it, as
+        :meth:`execute`'s ``finally`` does for a generator.
+        """
+        if duration_us < 0:
+            raise ValueError("negative CPU work")
+        self._admit(runner, duration_us, owner, fn, args, self.sim.now)
+
+    def _admit(self, runner, duration_us: float, owner: str, fn, args: tuple,
+               wait_start: float) -> None:
+        sim = self.sim
+        if self._in_use >= self.cores:
+            event = sim.event()
+            self._waiters.append(event)
+            runner.wait(event, self._admit, runner, duration_us, owner, fn,
+                        args, wait_start)
+            return
+        self.contention_wait_us += sim.now - wait_start
+        self._in_use += 1
+        runner.core = (self, owner, sim.now)
+        if duration_us > 0:
+            runner.sleep(duration_us, self._done, runner, fn, args)
+        else:
+            self._done(runner, fn, args)
+
+    def _done(self, runner, fn, args: tuple) -> None:
+        _pool, owner, started = runner.core
+        runner.core = None
+        self.release(owner, started)
+        fn(*args)
+
+    def release(self, owner: str, started: float) -> None:
+        """Give back a core held since ``started``, waking one waiter."""
+        executed = self.sim.now - started
+        self.usage_us[owner] = self.usage_us.get(owner, 0.0) + executed
+        self._in_use -= 1
+        while self._waiters and self._in_use < self.cores:
+            waiter = self._waiters.popleft()
+            if not waiter.triggered:
+                waiter.trigger()
+                break
 
     def owner_usage(self, owner: str) -> float:
         return self.usage_us.get(owner, 0.0)

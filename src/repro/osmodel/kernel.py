@@ -9,8 +9,19 @@ The kernel owns the only two ways a request can reach the device:
   exactly as NEON sleeps the faulting process in process context), then the
   store is single-stepped.
 
-Workload code submits with ``completion = yield from kernel.submit(...)``,
-paying the appropriate costs in virtual time.
+Submission is continuation-passing.  :meth:`Kernel.start_submit` (mmio),
+:meth:`Kernel.start_submit_batch` (batched doorbell) and
+:meth:`Kernel.start_syscall_submit` (Section 3's trap-per-request stacks)
+charge their costs through a *runner* -- the submitting task's state
+machine, normally its :class:`~repro.workloads.base.Workload` -- and call
+``fn(*args)`` once the request has reached the device.  A runner
+provides ``task``, ``sleep(delay, fn, *args)``, ``wait(event, fn,
+*args)`` and a ``core`` slot for a held CPU core; its kill makes every
+pending continuation inert, so a task killed mid-submission never
+reaches the device.  :meth:`Kernel.submit`, :meth:`Kernel.submit_batch`
+and :meth:`Kernel.submit_via_syscall` drive the same core from a
+generator process (``yield from kernel.submit(...)``), yielding each
+wait the core asks for; workloads do not use them.
 """
 
 from __future__ import annotations
@@ -260,100 +271,143 @@ class Kernel:
             if not channel.dead
         }
 
-    def cpu_time(self, duration_us: float, owner: str):
-        """Consume CPU time (a generator): through the finite pool when
-        one is configured, as a plain delay otherwise."""
+    def cpu_work(self, runner, duration_us: float, fn, args: tuple) -> None:
+        """Consume CPU time for ``runner``'s task, then call ``fn(*args)``:
+        through the finite pool when one is configured, as a plain delay
+        otherwise."""
         if self.cpu is not None:
-            yield from self.cpu.execute(duration_us, owner)
+            self.cpu.run(runner, duration_us, runner.task.name, fn, args)
         else:
-            yield duration_us
+            runner.sleep(duration_us, fn, *args)
 
     # ------------------------------------------------------------------
-    # The request-submission path
+    # The request-submission core (continuation-passing)
     # ------------------------------------------------------------------
-    def submit(self, task: Task, channel: "Channel", request: Request):
-        """Submit a request from ``task`` (a generator; ``yield from`` it).
+    def start_submit(self, runner, channel: "Channel", request: Request, fn,
+                     args: tuple) -> None:
+        """Submit ``request`` from ``runner.task``; ``fn(*args)`` once it
+        has reached the device.
 
-        Returns the completion event.  Charges the direct-write cost, plus
-        the full interception cost if the register page is protected; the
-        scheduler may hold the task blocked inside the handler arbitrarily
-        long (or forever, if the task gets killed while waiting).
+        Charges the direct-write cost, plus the full interception cost if
+        the register page is protected; the scheduler may hold the task
+        blocked inside the handler arbitrarily long (or forever, if the
+        task gets killed while waiting).
         """
-        page = channel.register_page
         if self.faults is not None:
-            lag = self.faults.arm(fault_points.KERNEL_SUBMIT_LATENCY, task.name)
+            lag = self.faults.arm(
+                fault_points.KERNEL_SUBMIT_LATENCY, runner.task.name
+            )
             if lag is not None:
-                yield lag.magnitude_us
-        yield self.costs.direct_submit_us
-        observed = False
-        if page.protected:
-            observed = True
-            page.record_fault()
-            self.fault_count += 1
-            self.fault_count_by_task[task.task_id] = (
-                self.fault_count_by_task.get(task.task_id, 0) + 1
+                runner.sleep(lag.magnitude_us, self._store, runner, channel,
+                             request, fn, args)
+                return
+        self._store(runner, channel, request, fn, args)
+
+    def _store(self, runner, channel: "Channel", request: Request, fn,
+               args: tuple) -> None:
+        runner.sleep(self.costs.direct_submit_us, self._after_store, runner,
+                     channel, request, fn, args)
+
+    def _after_store(self, runner, channel: "Channel", request: Request, fn,
+                     args: tuple) -> None:
+        if not channel.register_page.protected:
+            self._reach_device(runner, channel, request, False, fn, args)
+            return
+        task = runner.task
+        channel.register_page.record_fault()
+        self.fault_count += 1
+        self.fault_count_by_task[task.task_id] = (
+            self.fault_count_by_task.get(task.task_id, 0) + 1
+        )
+        self._faults.inc(task.name)
+        if self.trace.enabled:
+            self.trace.emit(
+                self.sim.now, "kernel", events.FAULT,
+                task=task.name, channel=channel.channel_id, ref=request.ref,
             )
-            self._faults.inc(task.name)
-            if self.trace.enabled:
-                self.trace.emit(
-                    self.sim.now, "kernel", events.FAULT,
-                    task=task.name, channel=channel.channel_id, ref=request.ref,
-                )
-            if self.faults is not None:
-                dropped = self.faults.arm(
-                    fault_points.KERNEL_FAULT_DROP, task.name
-                )
-                if dropped is not None:
-                    # The first trap is lost: its CPU cost is paid for
-                    # nothing and the store re-executes after the retry
-                    # delay, trapping again below.
-                    yield from self.cpu_time(self.costs.trap_us, task.name)
-                    yield dropped.magnitude_us
-                delayed = self.faults.arm(
-                    fault_points.KERNEL_FAULT_DELAY, task.name
-                )
-                if delayed is not None:
-                    yield delayed.magnitude_us
-            yield from self.cpu_time(
-                self.costs.trap_us + self.costs.fault_handle_us, task.name
+        if self.faults is not None:
+            dropped = self.faults.arm(fault_points.KERNEL_FAULT_DROP, task.name)
+            if dropped is not None:
+                # The first trap is lost: its CPU cost is paid for
+                # nothing and the store re-executes after the retry
+                # delay, trapping again below.
+                self.cpu_work(runner, self.costs.trap_us, runner.sleep,
+                              (dropped.magnitude_us, self._fault_delay,
+                               runner, channel, request, fn, args))
+                return
+        self._fault_delay(runner, channel, request, fn, args)
+
+    def _fault_delay(self, runner, channel: "Channel", request: Request, fn,
+                     args: tuple) -> None:
+        if self.faults is not None:
+            delayed = self.faults.arm(
+                fault_points.KERNEL_FAULT_DELAY, runner.task.name
             )
-            wait_begin: Optional[float] = None
-            while True:
-                verdict = self.scheduler.on_fault(task, channel, request)
-                if verdict is None:
-                    break
-                if wait_begin is None:
-                    # Lazy: zero-wait faults (scheduler admits immediately)
-                    # produce no wait span at all.
-                    wait_begin = self.sim.now
-                    if self.trace.enabled:
-                        self.trace.emit(
-                            wait_begin, "kernel", events.SCHED_WAIT_BEGIN,
-                            task=task.name, channel=channel.channel_id,
-                        )
-                task.state = TaskState.BLOCKED
-                yield verdict
-                task.state = TaskState.RUNNING
-                yield from self.cpu_time(self.costs.unblock_us, task.name)
+            if delayed is not None:
+                runner.sleep(delayed.magnitude_us, self._handle, runner,
+                             channel, request, fn, args)
+                return
+        self._handle(runner, channel, request, fn, args)
+
+    def _handle(self, runner, channel: "Channel", request: Request, fn,
+                args: tuple) -> None:
+        self.cpu_work(
+            runner, self.costs.trap_us + self.costs.fault_handle_us,
+            self._consult, (runner, channel, request, None, fn, args),
+        )
+
+    def _consult(self, runner, channel: "Channel", request: Request,
+                 wait_begin: Optional[float], fn, args: tuple) -> None:
+        """Ask the scheduler; block inside the handler until it admits."""
+        task = runner.task
+        verdict = self.scheduler.on_fault(task, channel, request)
+        if verdict is None:
             if wait_begin is not None and self.trace.enabled:
                 self.trace.emit(
                     self.sim.now, "kernel", events.SCHED_WAIT_END,
                     task=task.name, channel=channel.channel_id,
                     waited_us=self.sim.now - wait_begin,
                 )
-            yield from self.cpu_time(self.costs.singlestep_us, task.name)
+            self.cpu_work(runner, self.costs.singlestep_us,
+                          self._reach_device,
+                          (runner, channel, request, True, fn, args))
+            return
+        if wait_begin is None:
+            # Lazy: zero-wait faults (scheduler admits immediately)
+            # produce no wait span at all.
+            wait_begin = self.sim.now
+            if self.trace.enabled:
+                self.trace.emit(
+                    wait_begin, "kernel", events.SCHED_WAIT_BEGIN,
+                    task=task.name, channel=channel.channel_id,
+                )
+        task.state = TaskState.BLOCKED
+        runner.wait(verdict, self._unblock, runner, channel, request,
+                    wait_begin, fn, args)
+
+    def _unblock(self, runner, channel: "Channel", request: Request,
+                 wait_begin: float, fn, args: tuple) -> None:
+        runner.task.state = TaskState.RUNNING
+        self.cpu_work(runner, self.costs.unblock_us, self._consult,
+                      (runner, channel, request, wait_begin, fn, args))
+
+    def _reach_device(self, runner, channel: "Channel", request: Request,
+                      observed: bool, fn, args: tuple) -> None:
+        task = runner.task
         if channel.dead or not task.alive:
             # Our context was torn down while we were blocked; the pending
-            # ProcessKilled will arrive momentarily — wait for it.
-            yield self.sim.event()
-        completion = self.device.submit(channel, request)
+            # kill will arrive momentarily -- nothing continues.
+            return
+        self.device.submit(channel, request)
         self.submit_count += 1
         if observed and self.scheduler is not None:
             self.scheduler.on_submit(task, channel, request)
-        return completion
+        fn(*args)
 
-    def submit_batch(self, task: Task, channel: "Channel", requests: list[Request]):
-        """Submit back-to-back requests in one kick (a generator).
+    def start_submit_batch(self, runner, channel: "Channel",
+                           requests: list[Request], fn, args: tuple) -> None:
+        """Submit back-to-back requests in one kick; ``fn(*args)`` once
+        all have reached the device.
 
         The user library's batched doorbell path: on an *unprotected*
         channel the stores are issued consecutively — one combined
@@ -361,39 +415,134 @@ class Kernel:
         engine wake (``GpuDevice.submit_batch``).  On a protected channel
         every store faults individually, so the batch degrades to the
         per-request interception path; batching never bypasses the
-        scheduler.  Returns the completion events in submission order.
+        scheduler.
         """
         if not requests:
-            return []
+            fn(*args)
+            return
         if channel.register_page.protected:
-            completions = []
-            for request in requests:
-                completions.append(
-                    (yield from self.submit(task, channel, request))
-                )
-            return completions
+            self._submit_each(runner, channel, requests, 0, fn, args)
+            return
         if self.faults is not None:
-            lag = self.faults.arm(fault_points.KERNEL_SUBMIT_LATENCY, task.name)
+            lag = self.faults.arm(
+                fault_points.KERNEL_SUBMIT_LATENCY, runner.task.name
+            )
             if lag is not None:
-                yield lag.magnitude_us
-        yield self.costs.direct_submit_us * len(requests)
-        if channel.dead or not task.alive:
-            # Torn down while paying the submit cost; wait for the kill.
-            yield self.sim.event()
-        completions = self.device.submit_batch(channel, requests)
-        self.submit_count += len(requests)
-        return completions
+                runner.sleep(lag.magnitude_us, self._store_batch, runner,
+                             channel, requests, fn, args)
+                return
+        self._store_batch(runner, channel, requests, fn, args)
 
-    def submit_via_syscall(
-        self, task: Task, channel: "Channel", request: Request, driver_work: bool
-    ):
+    def _submit_each(self, runner, channel: "Channel", requests: list[Request],
+                     index: int, fn, args: tuple) -> None:
+        if index == len(requests):
+            fn(*args)
+            return
+        self.start_submit(runner, channel, requests[index], self._submit_each,
+                          (runner, channel, requests, index + 1, fn, args))
+
+    def _store_batch(self, runner, channel: "Channel",
+                     requests: list[Request], fn, args: tuple) -> None:
+        runner.sleep(self.costs.direct_submit_us * len(requests),
+                     self._reach_device_batch, runner, channel, requests, fn,
+                     args)
+
+    def _reach_device_batch(self, runner, channel: "Channel",
+                            requests: list[Request], fn, args: tuple) -> None:
+        if channel.dead or not runner.task.alive:
+            return  # torn down while paying the submit cost
+        self.device.submit_batch(channel, requests)
+        self.submit_count += len(requests)
+        fn(*args)
+
+    def start_syscall_submit(self, runner, channel: "Channel",
+                             request: Request, driver_work: bool, fn,
+                             args: tuple) -> None:
         """The Section 3 comparison stack: every request traps to the kernel
         (AMD-Catalyst-style), optionally with nontrivial driver-routine
         processing.  No scheduling — pure cost model."""
         cost = self.costs.syscall_us
         if driver_work:
             cost += self.costs.driver_work_us
-        yield cost
-        completion = self.device.submit(channel, request)
+        runner.sleep(cost, self._enter_syscall, channel, request, fn, args)
+
+    def _enter_syscall(self, channel: "Channel", request: Request, fn,
+                       args: tuple) -> None:
+        self.device.submit(channel, request)
         self.submit_count += 1
-        return completion
+        fn(*args)
+
+    # ------------------------------------------------------------------
+    # Generator adapters over the core
+    # ------------------------------------------------------------------
+    def submit(self, task: Task, channel: "Channel", request: Request):
+        """:meth:`start_submit` for a generator process: returns a
+        generator to drive with ``yield from``, whose value is the
+        request's completion event."""
+        steps = _Steps(task)
+        self.start_submit(steps, channel, request, steps.finish, ())
+        return steps.drive(self.sim, request)
+
+    def submit_batch(self, task: Task, channel: "Channel", requests: list[Request]):
+        """:meth:`start_submit_batch` for a generator process (``yield
+        from`` it); its value is the completion events in submission
+        order."""
+        steps = _Steps(task)
+        self.start_submit_batch(steps, channel, requests, steps.finish, ())
+        return steps.drive(self.sim, requests)
+
+    def submit_via_syscall(
+        self, task: Task, channel: "Channel", request: Request, driver_work: bool
+    ):
+        """:meth:`start_syscall_submit` for a generator process (``yield
+        from`` it); its value is the request's completion event."""
+        steps = _Steps(task)
+        self.start_syscall_submit(steps, channel, request, driver_work,
+                                  steps.finish, ())
+        return steps.drive(self.sim, request)
+
+
+class _Steps:
+    """A runner that hands each wait of the submission core to a
+    generator process, which yields it (a delay or an event) and then
+    runs the continuation."""
+
+    __slots__ = ("task", "pending", "core", "finished")
+
+    def __init__(self, task: Task) -> None:
+        self.task = task
+        self.pending: Optional[tuple] = None
+        self.core: Optional[tuple] = None
+        self.finished = False
+
+    def sleep(self, delay_us: float, fn, *args) -> None:
+        self.pending = (delay_us, fn, args)
+
+    def wait(self, event, fn, *args) -> None:
+        self.pending = (event, fn, args)
+
+    def finish(self) -> None:
+        self.finished = True
+
+    def drive(self, sim: "Simulator", submitted):
+        """Yield the core's waits until ``submitted`` (a request or a
+        list of them) reached the device; return its completion
+        event(s)."""
+        try:
+            while not self.finished:
+                pending, self.pending = self.pending, None
+                if pending is None:
+                    # The core stopped short of the device (the task was
+                    # torn down); wait for the kill.
+                    yield sim.event()
+                    continue
+                target, fn, args = pending
+                yield target
+                fn(*args)
+        finally:
+            core, self.core = self.core, None
+            if core is not None:
+                core[0].release(core[1], core[2])
+        if isinstance(submitted, list):
+            return [request.completion for request in submitted]
+        return submitted.completion

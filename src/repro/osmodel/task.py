@@ -8,7 +8,6 @@ from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.context import GpuContext
-    from repro.sim.process import Process
 
 _task_ids = itertools.count(1)
 
@@ -31,9 +30,10 @@ class Task:
         self.name = name
         self.state = TaskState.RUNNING
         self.contexts: list["GpuContext"] = []
-        #: The simulation process running the task's workload body; set by
-        #: the workload when it starts.
-        self.process: Optional["Process"] = None
+        #: What runs the task, with a ``kill(reason)`` method: its
+        #: workload's state machine (set when the workload starts) or a
+        #: generator :class:`~repro.sim.process.Process`.
+        self.process: Optional[Any] = None
         #: Reason string recorded when the kernel kills the task.
         self.kill_reason: Optional[str] = None
         #: Free-form slot for workload models to attach themselves.

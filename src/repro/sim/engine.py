@@ -115,6 +115,23 @@ class Simulator:
             queue.push(entry)
         return handle
 
+    def defer(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` after ``delay`` microseconds, with no handle.
+
+        Same queue position as ``schedule(delay, ...)``, minus the
+        :class:`TimerHandle`: for callback state machines that make their
+        own stale callbacks inert (a generation token) instead of
+        cancelling them.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay}")
+        entry = (self.now + delay, self._seq, None, fn, args)
+        self._seq += 1
+        if delay == 0.0:
+            self._queue.push_now(entry)
+        else:
+            self._queue.push(entry)
+
     def schedule_now(self, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` at the current instant (internal fast path).
 

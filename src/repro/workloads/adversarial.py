@@ -30,14 +30,23 @@ class InfiniteKernel(Workload):
         self.normal_size_us = normal_size_us
         self.normal_requests = normal_requests
 
-    def body(self):
-        channel = self.open_channel(RequestKind.COMPUTE)
-        for _ in range(self.normal_requests):
-            start = self.sim.now
-            yield from self.submit(channel, self.normal_size_us)
-            self.rounds.record(start, self.sim.now)
-        # The attack: a compute kernel with an infinite loop.
-        yield from self.submit(channel, math.inf)
+    def run(self) -> None:
+        self._channel = self.open_channel(RequestKind.COMPUTE)
+        self._sent = 0
+        self._next()
+
+    def _next(self) -> None:
+        if self._sent == self.normal_requests:
+            # The attack: a compute kernel with an infinite loop.
+            self.submit(self._channel, math.inf, self.finish)
+            return
+        self._sent += 1
+        self._start = self.sim.now
+        self.submit(self._channel, self.normal_size_us, self._completed)
+
+    def _completed(self) -> None:
+        self.rounds.record(self._start, self.sim.now)
+        self._next()
 
 
 class GreedyBatcher(Workload):
@@ -54,14 +63,19 @@ class GreedyBatcher(Workload):
         self.work_unit_us = work_unit_us
         self.batch_factor = batch_factor
 
-    def body(self):
-        channel = self.open_channel(RequestKind.COMPUTE)
-        batch_size = self.work_unit_us * self.batch_factor
-        while True:
-            start = self.sim.now
-            yield from self.submit(channel, batch_size)
-            # One round is one batch = batch_factor units of useful work.
-            self.rounds.record(start, self.sim.now)
+    def run(self) -> None:
+        self._channel = self.open_channel(RequestKind.COMPUTE)
+        self._round()
+
+    def _round(self) -> None:
+        self._start = self.sim.now
+        self.submit(self._channel, self.work_unit_us * self.batch_factor,
+                    self._completed)
+
+    def _completed(self) -> None:
+        # One round is one batch = batch_factor units of useful work.
+        self.rounds.record(self._start, self.sim.now)
+        self._round()
 
 
 class MemoryHog(Workload):
@@ -74,16 +88,18 @@ class MemoryHog(Workload):
         self.allocated_mib = 0.0
         self.denied: Optional[str] = None
 
-    def body(self):
-        context = self.kernel.open_context(self.task)
+    def run(self) -> None:
+        self._context = self.kernel.open_context(self.task)
+        self._allocate()
+
+    def _allocate(self) -> None:
         try:
-            while True:
-                self.kernel.allocate_memory(self.task, context, self.chunk_mib)
-                self.allocated_mib += self.chunk_mib
-                yield 5.0  # an allocation syscall's worth of time
+            self.kernel.allocate_memory(self.task, self._context, self.chunk_mib)
         except OutOfResourcesError as error:
             self.denied = str(error)
-        yield self.sim.event()  # hold the memory and idle forever
+            return  # hold the memory and idle forever
+        self.allocated_mib += self.chunk_mib
+        self.sleep(5.0, self._allocate)  # an allocation syscall's worth
 
 
 class ChannelHog(Workload):
@@ -96,16 +112,17 @@ class ChannelHog(Workload):
         self.channels_opened = 0
         self.denied: Optional[str] = None
 
-    def body(self):
+    def run(self) -> None:
+        self._open_more()
+
+    def _open_more(self) -> None:
         try:
-            while True:
-                context = self.kernel.open_context(self.task)
-                self.contexts_opened += 1
-                for kind in (RequestKind.COMPUTE, RequestKind.DMA):
-                    self.kernel.open_channel(self.task, context, kind)
-                    self.channels_opened += 1
-                yield 1.0  # a syscall's worth of setup time per context
+            context = self.kernel.open_context(self.task)
+            self.contexts_opened += 1
+            for kind in (RequestKind.COMPUTE, RequestKind.DMA):
+                self.kernel.open_channel(self.task, context, kind)
+                self.channels_opened += 1
         except OutOfResourcesError as error:
             self.denied = str(error)
-        # Hold everything and idle forever.
-        yield self.sim.event()
+            return  # hold everything and idle forever
+        self.sleep(1.0, self._open_more)  # a syscall's worth of setup

@@ -23,30 +23,56 @@ class ProfiledApp(Workload):
         super().__init__(name or profile.name)
         self.profile = profile
 
-    def body(self):
+    def run(self) -> None:
         profile = self.profile
         channels = {kind: self.open_channel(kind) for kind in profile.kinds()}
-        # Resolved once: a per-round lookup would hash the kind through
-        # ``enum.py``.
-        bursts = [(burst, channels[burst.kind]) for burst in profile.bursts]
-        while True:
-            start = self.sim.now
-            if profile.think_us > 0:
-                yield from self.cpu_work(self.jittered(profile.think_us))
-            for burst, channel in bursts:
-                for size in burst.sizes:
-                    if burst.pre_gap_us > 0:
-                        yield from self.cpu_work(self.jittered(burst.pre_gap_us))
-                    drawn = self.jittered(size, burst.jitter)
-                    if burst.blocking:
-                        yield from self.submit(channel, drawn)
-                    else:
-                        yield from self.submit_pipelined(
-                            channel, drawn, profile.pipeline_depth
-                        )
-            if profile.drain_each_round:
-                yield from self.drain_pipeline()
-            self.rounds.record(start, self.sim.now)
+        # One round as a flat list of requests, resolved once: a per-round
+        # lookup would hash the kind through ``enum.py``.
+        self._plan = [
+            (channels[burst.kind], size, burst.jitter, burst.blocking,
+             burst.pre_gap_us)
+            for burst in profile.bursts
+            for size in burst.sizes
+        ]
+        self._round()
+
+    def _round(self) -> None:
+        self._start = self.sim.now
+        self._index = 0
+        think_us = self.profile.think_us
+        if think_us > 0:
+            self.cpu_work(self.jittered(think_us), self._next)
+        else:
+            self._next()
+
+    def _next(self) -> None:
+        """Issue the round's next request, or end the round."""
+        index = self._index
+        if index == len(self._plan):
+            if self.profile.drain_each_round:
+                self.drain_pipelines(self._end_round)
+            else:
+                self._end_round()
+            return
+        self._index = index + 1
+        channel, size, jitter, blocking, pre_gap_us = self._plan[index]
+        if pre_gap_us > 0:
+            self.cpu_work(self.jittered(pre_gap_us), self._issue, channel,
+                          size, jitter, blocking)
+        else:
+            self._issue(channel, size, jitter, blocking)
+
+    def _issue(self, channel, size: float, jitter: float, blocking: bool) -> None:
+        drawn = self.jittered(size, jitter)
+        if blocking:
+            self.submit(channel, drawn, self._next)
+        else:
+            self.submit_pipelined(channel, drawn, self.profile.pipeline_depth,
+                                  self._next)
+
+    def _end_round(self) -> None:
+        self.rounds.record(self._start, self.sim.now)
+        self._round()
 
 
 def make_app(name: str, instance: Optional[str] = None) -> ProfiledApp:

@@ -43,16 +43,22 @@ class Throttle(Workload):
             return 0.0
         return self.request_size_us * self.sleep_ratio / (1.0 - self.sleep_ratio)
 
-    def body(self):
-        channel = self.open_channel(self.kind)
-        while True:
-            start = self.sim.now
-            size = (
-                self.jittered(self.request_size_us, self.jitter_sigma)
-                if self.jitter_sigma > 0
-                else self.request_size_us
-            )
-            yield from self.submit(channel, size)
-            self.rounds.record(start, self.sim.now)
-            if self.sleep_us > 0:
-                yield self.sleep_us
+    def run(self) -> None:
+        self._channel = self.open_channel(self.kind)
+        self._round()
+
+    def _round(self) -> None:
+        self._start = self.sim.now
+        size = (
+            self.jittered(self.request_size_us, self.jitter_sigma)
+            if self.jitter_sigma > 0
+            else self.request_size_us
+        )
+        self.submit(self._channel, size, self._completed)
+
+    def _completed(self) -> None:
+        self.rounds.record(self._start, self.sim.now)
+        if self.sleep_us > 0:
+            self.sleep(self.sleep_us, self._round)
+        else:
+            self._round()

@@ -73,42 +73,72 @@ class TraceWorkload(Workload):
         self.open_loop = open_loop
         self.repeat = repeat
 
-    def body(self):
+    def run(self) -> None:
         kinds = {entry.kind for entry in self.entries}
         # Open in sorted order so channel-id assignment (and with it the
         # whole trajectory) is independent of set hash order.
-        channels = {
+        self._channels = {
             kind: self.open_channel(kind)
             for kind in sorted(kinds, key=lambda kind: kind.value)
         }
-        epoch = self.sim.now
-        while True:
-            for previous_at, entry in zip(
-                [0.0] + [e.at_us for e in self.entries], self.entries
-            ):
-                if self.open_loop:
-                    target = epoch + entry.at_us
-                    if target > self.sim.now:
-                        yield target - self.sim.now
-                    scheduled = self.sim.now
-                    completion = yield from self.submit(
-                        channels[entry.kind], entry.size_us, blocking=False
-                    )
-                    completion.add_callback(
-                        lambda ev, s=scheduled: self.rounds.record(s, self.sim.now)
-                    )
-                else:
-                    gap = entry.at_us - previous_at
-                    if gap > 0:
-                        yield gap
-                    start = self.sim.now
-                    yield from self.submit(channels[entry.kind], entry.size_us)
-                    self.rounds.record(start, self.sim.now)
-            if not self.repeat:
-                break
-            epoch = self.sim.now
-        # Open-loop: wait out any stragglers before exiting.
-        yield from self.drain_pipeline()
+        #: Open-loop requests submitted but not yet settled.
+        self._in_flight = 0
+        self._replayed = False
+        self._replay()
+
+    def _replay(self) -> None:
+        self._epoch = self.sim.now
+        self._index = 0
+        self._next()
+
+    def _next(self) -> None:
+        """Wait for the next entry's turn, or end the pass."""
+        index = self._index
+        if index == len(self.entries):
+            if self.repeat:
+                self._replay()
+                return
+            self._replayed = True
+            if self._in_flight == 0:
+                self.finish()
+            # Otherwise the last open-loop completion exits.
+            return
+        entry = self.entries[index]
+        self._index = index + 1
+        if self.open_loop:
+            target = self._epoch + entry.at_us
+            if target > self.sim.now:
+                self.sleep(target - self.sim.now, self._submit_open, entry)
+            else:
+                self._submit_open(entry)
+            return
+        previous_at = self.entries[index - 1].at_us if index else 0.0
+        gap = entry.at_us - previous_at
+        if gap > 0:
+            self.sleep(gap, self._submit_closed, entry)
+        else:
+            self._submit_closed(entry)
+
+    def _submit_open(self, entry: TraceEntry) -> None:
+        self._in_flight += 1
+        request = self.submit(self._channels[entry.kind], entry.size_us,
+                              self._next, blocking=False)
+        request.waiter = (self._settled, (self._gen, self.sim.now))
+
+    def _settled(self, gen: int, scheduled: float) -> None:
+        """An open-loop request settled: its round ends here."""
+        self.rounds.record(scheduled, self.sim.now)
+        self._in_flight -= 1
+        if gen == self._gen and self._replayed and self._in_flight == 0:
+            self.finish()
+
+    def _submit_closed(self, entry: TraceEntry) -> None:
+        self._start = self.sim.now
+        self.submit(self._channels[entry.kind], entry.size_us, self._closed_done)
+
+    def _closed_done(self) -> None:
+        self.rounds.record(self._start, self.sim.now)
+        self._next()
 
 
 def synthesize_poisson_trace(

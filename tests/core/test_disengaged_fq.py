@@ -66,9 +66,9 @@ def test_inactive_task_forfeits_idle_credit(fast_costs):
     from repro.workloads.base import Workload
 
     class LateStarter(Throttle):
-        def body(self):
-            yield 100_000.0  # long idle period before any GPU use
-            yield from super().body()
+        def run(self):
+            # A long idle period before any GPU use.
+            self.sleep(100_000.0, super().run)
 
     late = LateStarter(300.0, name="late")
     steady = Throttle(300.0, name="steady")

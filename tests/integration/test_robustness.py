@@ -16,12 +16,19 @@ class ShortLived(Workload):
         self.count = requests
         self.size = size
 
-    def body(self):
-        channel = self.open_channel(RequestKind.COMPUTE)
-        for _ in range(self.count):
-            start = self.sim.now
-            yield from self.submit(channel, self.size)
-            self.rounds.record(start, self.sim.now)
+    def run(self):
+        self.channel = self.open_channel(RequestKind.COMPUTE)
+        self.next_request()
+
+    def next_request(self):
+        if len(self.rounds) == self.count:
+            self.finish()
+            return
+        self.submit(self.channel, self.size, self.completed, self.sim.now)
+
+    def completed(self, start):
+        self.rounds.record(start, self.sim.now)
+        self.next_request()
 
 
 @pytest.mark.parametrize(

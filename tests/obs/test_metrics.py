@@ -1,6 +1,10 @@
 """Counters, histograms, and the registry's task view."""
 
+from bisect import bisect_left
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 
@@ -150,3 +154,99 @@ def test_monitor_counters_are_cataloged():
 
     for name in ("windows_closed", "slo_violations", "slo_recoveries"):
         assert name in KNOWN_COUNTERS
+
+
+class FiveDictHistogram:
+    """The histogram as it was before each label kept one record: five
+    dicts, each read per observation.  The reference for the test below."""
+
+    def __init__(self, buckets):
+        self.buckets = tuple(float(bound) for bound in buckets)
+        self._counts = {}
+        self._sum = {}
+        self._count = {}
+        self._min = {}
+        self._max = {}
+
+    def observe(self, label, value):
+        counts = self._counts.get(label)
+        if counts is None:
+            counts = [0] * (len(self.buckets) + 1)
+            self._counts[label] = counts
+            self._sum[label] = 0.0
+            self._count[label] = 0
+            self._min[label] = value
+            self._max[label] = value
+        counts[bisect_left(self.buckets, value)] += 1
+        self._sum[label] += value
+        self._count[label] += 1
+        if value < self._min[label]:
+            self._min[label] = value
+        elif value > self._max[label]:
+            self._max[label] = value
+
+    def count(self, label=""):
+        return self._count.get(label, 0)
+
+    def mean(self, label=""):
+        count = self._count.get(label, 0)
+        if count == 0:
+            return None
+        return self._sum[label] / count
+
+    def quantile(self, label, q):
+        counts = self._counts.get(label)
+        total = self._count.get(label, 0)
+        if not counts or total == 0:
+            return None
+        rank = q * total
+        seen = 0
+        for position, bucket_count in enumerate(counts):
+            seen += bucket_count
+            if seen >= rank and bucket_count:
+                if position < len(self.buckets):
+                    return self.buckets[position]
+                return float("inf")
+        return float("inf")
+
+    def snapshot(self):
+        return {
+            label: {
+                "count": self._count[label],
+                "sum": self._sum[label],
+                "min": self._min[label],
+                "max": self._max[label],
+                "buckets": list(self._counts[label]),
+            }
+            for label in sorted(self._counts)
+        }
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    buckets=st.lists(
+        st.floats(-50.0, 5_000.0, allow_nan=False), min_size=1, max_size=8,
+    ).map(sorted),
+    observations=st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b", ""]),
+            st.one_of(
+                st.floats(-100.0, 10_000.0, allow_nan=False),
+                st.sampled_from([0.0, 1.0, 100.0, 1e9, -1e9]),
+            ),
+        ),
+        max_size=60,
+    ),
+)
+def test_histogram_matches_five_dict_reference(buckets, observations):
+    histogram = Histogram("h", buckets)
+    reference = FiveDictHistogram(buckets)
+    for label, value in observations:
+        histogram.observe(label, value)
+        reference.observe(label, value)
+    assert histogram.snapshot() == reference.snapshot()
+    for label in ("a", "b", "", "never"):
+        assert histogram.count(label) == reference.count(label)
+        assert histogram.mean(label) == reference.mean(label)
+        for q in (0.0, 0.25, 0.5, 0.95, 0.99, 1.0):
+            assert histogram.quantile(label, q) == reference.quantile(label, q)

@@ -11,6 +11,7 @@ delays = st.lists(
 
 
 @given(delays)
+@settings(deadline=None)
 def test_events_fire_in_nondecreasing_time_order(delay_list):
     sim = Simulator()
     fired = []
@@ -22,6 +23,7 @@ def test_events_fire_in_nondecreasing_time_order(delay_list):
 
 
 @given(delays)
+@settings(deadline=None)
 def test_equal_times_preserve_schedule_order(delay_list):
     sim = Simulator()
     fired = []
@@ -33,6 +35,7 @@ def test_equal_times_preserve_schedule_order(delay_list):
 
 
 @given(delays, st.integers(min_value=0, max_value=59))
+@settings(deadline=None)
 def test_cancellation_removes_exactly_one(delay_list, cancel_index):
     sim = Simulator()
     fired = []
@@ -48,7 +51,7 @@ def test_cancellation_removes_exactly_one(delay_list, cancel_index):
 
 
 @given(delays)
-@settings(max_examples=30)
+@settings(deadline=None, max_examples=30)
 def test_process_sleep_accumulates_delays(delay_list):
     sim = Simulator()
     ends = []
@@ -73,7 +76,7 @@ def test_process_sleep_accumulates_delays(delay_list):
         max_size=40,
     )
 )
-@settings(max_examples=30)
+@settings(deadline=None, max_examples=30)
 def test_deterministic_replay(script):
     def execute():
         sim = Simulator()

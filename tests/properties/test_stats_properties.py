@@ -15,6 +15,7 @@ samples = st.lists(
 
 
 @given(samples, st.integers(min_value=1, max_value=64))
+@settings(deadline=None)
 def test_estimator_mean_bounded_by_window_extremes(values, window):
     estimator = RequestSizeEstimator(window)
     for value in values:
@@ -35,7 +36,7 @@ def test_estimator_mean_bounded_by_window_extremes(values, window):
         max_size=100,
     )
 )
-@settings(max_examples=50)
+@settings(deadline=None, max_examples=50)
 def test_meter_services_sum_to_at_most_elapsed(events):
     """Measured services can never total more than the observed span —
     the whole point of the serialization-aware meter."""
@@ -52,6 +53,7 @@ def test_meter_services_sum_to_at_most_elapsed(events):
 
 
 @given(samples)
+@settings(deadline=None)
 def test_cdf_fraction_below_is_monotone(values):
     cdf = Cdf(values)
     thresholds = sorted({0.0, min(values), max(values), max(values) * 2 + 1})
@@ -60,6 +62,7 @@ def test_cdf_fraction_below_is_monotone(values):
 
 
 @given(samples)
+@settings(deadline=None)
 def test_log2_histogram_ends_at_100(values):
     bins = log2_bin_histogram(values)
     assert abs(bins[-1] - 100.0) < 1e-9
@@ -73,6 +76,7 @@ def test_log2_histogram_ends_at_100(values):
         max_size=20,
     )
 )
+@settings(deadline=None)
 def test_jain_index_bounds(shares):
     index = jain_index(shares)
     assert 1.0 / len(shares) - 1e-9 <= index <= 1.0 + 1e-9

@@ -27,7 +27,7 @@ operations = st.lists(
 
 
 @given(operations)
-@settings(max_examples=60)
+@settings(deadline=None, max_examples=60)
 def test_invariants_hold_under_any_operation_sequence(ops):
     table = VirtualTimeTable()
     previous_system = table.system_vt
@@ -46,7 +46,7 @@ def test_invariants_hold_under_any_operation_sequence(ops):
 
 
 @given(operations)
-@settings(max_examples=60)
+@settings(deadline=None, max_examples=60)
 def test_system_vt_never_exceeds_max_task_vt(ops):
     table = VirtualTimeTable()
     touched = set()

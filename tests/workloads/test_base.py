@@ -16,13 +16,20 @@ class TwoRequestApp(Workload):
         super().__init__("two-request")
         self.sizes = sizes
 
-    def body(self):
-        channel = self.open_channel(RequestKind.COMPUTE)
-        while True:
-            start = self.sim.now
-            for size in self.sizes:
-                yield from self.submit(channel, size)
-            self.rounds.record(start, self.sim.now)
+    def run(self):
+        self.channel = self.open_channel(RequestKind.COMPUTE)
+        self.round()
+
+    def round(self):
+        self.start = self.sim.now
+        self.next_size(0)
+
+    def next_size(self, index):
+        if index == len(self.sizes):
+            self.rounds.record(self.start, self.sim.now)
+            self.round()
+            return
+        self.submit(self.channel, self.sizes[index], self.next_size, index + 1)
 
 
 class PipelinedApp(Workload):
@@ -30,12 +37,20 @@ class PipelinedApp(Workload):
         super().__init__("pipelined")
         self.depth = depth
 
-    def body(self):
-        channel = self.open_channel(RequestKind.COMPUTE)
-        for _ in range(20):
-            yield from self.submit_pipelined(channel, 50.0, self.depth)
-        yield from self.drain_pipeline()
+    def run(self):
+        self.channel = self.open_channel(RequestKind.COMPUTE)
+        self.issue(0)
+
+    def issue(self, count):
+        if count == 20:
+            self.drain_pipelines(self.drained)
+            return
+        self.submit_pipelined(self.channel, 50.0, self.depth, self.issue,
+                              count + 1)
+
+    def drained(self):
         self.rounds.record(0.0, self.sim.now)
+        self.finish()
 
 
 def test_rounds_and_requests_recorded():
@@ -95,9 +110,9 @@ def test_jittered_zero_sigma_is_identity():
 
 def test_normal_exit_releases_resources():
     class OneShot(Workload):
-        def body(self):
+        def run(self):
             channel = self.open_channel(RequestKind.COMPUTE)
-            yield from self.submit(channel, 10.0)
+            self.submit(channel, 10.0, self.finish)
 
     env = build_env("direct")
     app = OneShot("oneshot")

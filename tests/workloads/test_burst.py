@@ -14,17 +14,31 @@ class _BurstWorkload(Workload):
         self.burst_size = burst_size
         self.completions = []
 
-    def body(self):
-        channel = self.open_channel(RequestKind.COMPUTE)
-        for _ in range(self.bursts):
-            events = yield from self.submit_burst(
-                channel, [25.0] * self.burst_size
-            )
-            self.completions.extend(events)
-            yield 500.0  # think time between bursts
-        for event in self.completions:
+    def run(self):
+        self.channel = self.open_channel(RequestKind.COMPUTE)
+        self.burst(0)
+
+    def burst(self, sent):
+        if sent == self.bursts:
+            self.await_all(0)
+            return
+        self.in_flight = self.submit_burst(
+            self.channel, [25.0] * self.burst_size, self.think, sent + 1
+        )
+
+    def think(self, sent):
+        self.completions.extend(
+            request.completion for request in self.in_flight
+        )
+        self.sleep(500.0, self.burst, sent)  # think time between bursts
+
+    def await_all(self, index):
+        for position in range(index, len(self.completions)):
+            event = self.completions[position]
             if not event.triggered:
-                yield event
+                self.wait(event, self.await_all, position + 1)
+                return
+        self.finish()
 
 
 def test_burst_workload_completes_all_requests():

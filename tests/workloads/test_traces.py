@@ -45,6 +45,23 @@ def test_open_loop_rounds_measure_latency_under_contention():
     assert stats.mean_us > 120.0
 
 
+def test_open_loop_waits_for_stragglers_before_exiting():
+    # The last entry is submitted long before the earlier requests finish;
+    # exiting then would abort them and record cut-short rounds.
+    entries = [TraceEntry(at_us, 200.0) for at_us in (0.0, 10.0, 20.0)]
+    env = build_env("direct")
+    workload = TraceWorkload(entries, open_loop=True)
+    run_workloads(env, [workload], 10_000.0, 0.0)
+    assert [request.aborted for request in workload.requests] == [False] * 3
+    assert all(request.done for request in workload.requests)
+    assert len(workload.rounds) == 3
+    assert min(workload.rounds._ends[i] - workload.rounds._starts[i]
+               for i in range(3)) >= 200.0
+    # Then it exits normally, releasing its channel.
+    assert not workload.task.alive and not workload.killed
+    assert env.device.live_channel_count == 0
+
+
 def test_closed_loop_uses_gaps_as_think_time():
     env = build_env("direct")
     workload = TraceWorkload(_simple_trace(), open_loop=False)
