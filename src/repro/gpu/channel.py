@@ -35,7 +35,7 @@ class Channel:
         self,
         context: "GpuContext",
         kind: RequestKind,
-        sim: Optional["Simulator"] = None,
+        sim: "Simulator",
     ) -> None:
         self.channel_id = next(_channel_ids)
         self.context = context

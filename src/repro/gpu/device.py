@@ -16,7 +16,6 @@ from repro.gpu.params import GpuParams
 from repro.gpu.request import Request, RequestKind
 from repro.obs import events
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.events import Event
 from repro.sim.trace import NullRecorder, TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -129,20 +128,19 @@ class GpuDevice:
         self._enqueue_one(channel, request)
         self._engine_for(channel.kind).notify()
 
-    def submit_batch(self, channel: Channel, requests: list[Request]) -> list[Event]:
+    def submit_batch(self, channel: Channel, requests: list[Request]) -> None:
         """Enqueue back-to-back requests on one channel, kicking the engine
         once.
 
         The batched doorbell path: all requests land on the ring buffer at
         the current instant and the engine is notified with a *single*
-        wake event, instead of one notify per request.  Returns the
-        requests' completion events in submission order.
+        wake event, instead of one notify per request.  Like
+        :meth:`submit`, completion reaches software through each request.
         """
         for request in requests:
             self._enqueue_one(channel, request)
         if requests:
             self._engine_for(channel.kind).notify()
-        return [request.completion for request in requests]
 
     def _enqueue_one(self, channel: Channel, request: Request) -> None:
         """Shared per-request hardware-side submission (no engine kick)."""

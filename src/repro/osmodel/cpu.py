@@ -15,6 +15,8 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING
 
+from repro.osmodel.steps import Steps
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
     from repro.sim.events import Event
@@ -42,32 +44,21 @@ class CpuPool:
     def execute(self, duration_us: float, owner: str = "anon"):
         """Run ``duration_us`` of CPU work (generator; ``yield from`` it).
 
-        Waits for a free core first; the wait is accounted as contention.
-        The core is released even if the caller is killed mid-execution.
+        :meth:`run` driven from a generator process: waits for a free
+        core first (accounted as contention), and releases the core even
+        if the caller is killed mid-execution.
         """
-        if duration_us < 0:
-            raise ValueError("negative CPU work")
-        wait_start = self.sim.now
-        while self._in_use >= self.cores:
-            event = self.sim.event()
-            self._waiters.append(event)
-            yield event
-        self.contention_wait_us += self.sim.now - wait_start
-        self._in_use += 1
-        started = self.sim.now
-        try:
-            if duration_us > 0:
-                yield duration_us
-        finally:
-            self.release(owner, started)
+        steps = Steps()
+        self.run(steps, duration_us, owner, steps.finish, ())
+        yield from steps.drive(self.sim)
 
     def run(self, runner, duration_us: float, owner: str, fn, args: tuple) -> None:
-        """Callback counterpart of :meth:`execute`: run ``duration_us`` of
-        CPU work for ``runner``, then call ``fn(*args)``.
+        """Run ``duration_us`` of CPU work for ``runner``, then call
+        ``fn(*args)``.
 
+        Waits for a free core first; the wait is accounted as contention.
         ``runner`` supplies the waits (``sleep``/``wait``) and records the
-        held core in ``runner.core`` so a kill can release it, as
-        :meth:`execute`'s ``finally`` does for a generator.
+        held core in ``runner.core``, so a kill can release it.
         """
         if duration_us < 0:
             raise ValueError("negative CPU work")

@@ -20,8 +20,9 @@ provides ``task``, ``sleep(delay, fn, *args)``, ``wait(event, fn,
 pending continuation inert, so a task killed mid-submission never
 reaches the device.  :meth:`Kernel.submit`, :meth:`Kernel.submit_batch`
 and :meth:`Kernel.submit_via_syscall` drive the same core from a
-generator process (``yield from kernel.submit(...)``), yielding each
-wait the core asks for; workloads do not use them.
+generator process (``yield from kernel.submit(...)``) through a
+:class:`~repro.osmodel.steps.Steps` runner, yielding each wait the core
+asks for; workloads do not use them.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.osmodel.costs import CostParams
 from repro.osmodel.cpu import CpuPool
 from repro.osmodel.polling import PollingService
+from repro.osmodel.steps import Steps
 from repro.osmodel.task import Task, TaskState
 from repro.sim.trace import NullRecorder, TraceRecorder
 
@@ -476,73 +478,28 @@ class Kernel:
     # Generator adapters over the core
     # ------------------------------------------------------------------
     def submit(self, task: Task, channel: "Channel", request: Request):
-        """:meth:`start_submit` for a generator process: returns a
-        generator to drive with ``yield from``, whose value is the
-        request's completion event."""
-        steps = _Steps(task)
+        """:meth:`start_submit` for a generator process (``yield from``
+        it); its value is the request's completion event."""
+        steps = Steps(task)
         self.start_submit(steps, channel, request, steps.finish, ())
-        return steps.drive(self.sim, request)
+        return steps.drive(self.sim, lambda: request.completion)
 
     def submit_batch(self, task: Task, channel: "Channel", requests: list[Request]):
         """:meth:`start_submit_batch` for a generator process (``yield
         from`` it); its value is the completion events in submission
         order."""
-        steps = _Steps(task)
+        steps = Steps(task)
         self.start_submit_batch(steps, channel, requests, steps.finish, ())
-        return steps.drive(self.sim, requests)
+        return steps.drive(
+            self.sim, lambda: [request.completion for request in requests]
+        )
 
     def submit_via_syscall(
         self, task: Task, channel: "Channel", request: Request, driver_work: bool
     ):
         """:meth:`start_syscall_submit` for a generator process (``yield
         from`` it); its value is the request's completion event."""
-        steps = _Steps(task)
+        steps = Steps(task)
         self.start_syscall_submit(steps, channel, request, driver_work,
                                   steps.finish, ())
-        return steps.drive(self.sim, request)
-
-
-class _Steps:
-    """A runner that hands each wait of the submission core to a
-    generator process, which yields it (a delay or an event) and then
-    runs the continuation."""
-
-    __slots__ = ("task", "pending", "core", "finished")
-
-    def __init__(self, task: Task) -> None:
-        self.task = task
-        self.pending: Optional[tuple] = None
-        self.core: Optional[tuple] = None
-        self.finished = False
-
-    def sleep(self, delay_us: float, fn, *args) -> None:
-        self.pending = (delay_us, fn, args)
-
-    def wait(self, event, fn, *args) -> None:
-        self.pending = (event, fn, args)
-
-    def finish(self) -> None:
-        self.finished = True
-
-    def drive(self, sim: "Simulator", submitted):
-        """Yield the core's waits until ``submitted`` (a request or a
-        list of them) reached the device; return its completion
-        event(s)."""
-        try:
-            while not self.finished:
-                pending, self.pending = self.pending, None
-                if pending is None:
-                    # The core stopped short of the device (the task was
-                    # torn down); wait for the kill.
-                    yield sim.event()
-                    continue
-                target, fn, args = pending
-                yield target
-                fn(*args)
-        finally:
-            core, self.core = self.core, None
-            if core is not None:
-                core[0].release(core[1], core[2])
-        if isinstance(submitted, list):
-            return [request.completion for request in submitted]
-        return submitted.completion
+        return steps.drive(self.sim, lambda: request.completion)

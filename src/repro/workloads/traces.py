@@ -123,13 +123,14 @@ class TraceWorkload(Workload):
         self._in_flight += 1
         request = self.submit(self._channels[entry.kind], entry.size_us,
                               self._next, blocking=False)
-        request.waiter = (self._settled, (self._gen, self.sim.now))
+        request.waiter = (self._tick, (self._gen, self._settled,
+                                       (self.sim.now,)))
 
-    def _settled(self, gen: int, scheduled: float) -> None:
+    def _settled(self, scheduled: float) -> None:
         """An open-loop request settled: its round ends here."""
         self.rounds.record(scheduled, self.sim.now)
         self._in_flight -= 1
-        if gen == self._gen and self._replayed and self._in_flight == 0:
+        if self._replayed and self._in_flight == 0:
             self.finish()
 
     def _submit_closed(self, entry: TraceEntry) -> None:

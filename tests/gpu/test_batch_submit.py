@@ -13,7 +13,8 @@ def test_batch_coalesces_into_single_wake(sim, device, make_channel):
     _task, _context, channel = make_channel()
     sim.run(until=1.0)  # let the idle engine park on its wake event
     requests = _burst(channel, 8)
-    completions = device.submit_batch(channel, requests)
+    device.submit_batch(channel, requests)
+    completions = [request.completion for request in requests]
     wakes_before_run = device.main_engine.wakeups
     sim.run(until=1_000.0)
     assert wakes_before_run == 1  # eight enqueues, one wake event
@@ -25,8 +26,8 @@ def test_batch_completions_in_submission_order(sim, device, make_channel):
     _task, _context, channel = make_channel()
     requests = _burst(channel, 5)
     completed = []
-    completions = device.submit_batch(channel, requests)
-    for index, event in enumerate(completions):
+    device.submit_batch(channel, requests)
+    for index, event in enumerate(request.completion for request in requests):
         event.add_callback(lambda _event, i=index: completed.append(i))
     sim.run(until=1_000.0)
     assert completed == [0, 1, 2, 3, 4]
@@ -34,7 +35,7 @@ def test_batch_completions_in_submission_order(sim, device, make_channel):
 
 def test_empty_batch_is_a_noop(sim, device, make_channel):
     _task, _context, channel = make_channel()
-    assert device.submit_batch(channel, []) == []
+    device.submit_batch(channel, [])
     sim.run(until=100.0)
     assert channel.last_submitted_ref == 0
 

@@ -22,6 +22,7 @@ from repro.sim.events import Event
 from repro.workloads.apps import ProfiledApp
 from repro.workloads.profiles import AppProfile, RequestBurst
 from repro.workloads.throttle import Throttle
+from repro.workloads.traces import TraceEntry, TraceWorkload
 
 PIPELINED = AppProfile(
     name="pipelined", area="test",
@@ -176,6 +177,26 @@ def test_kill_during_drain():
     env = build_env("direct")
     app = ProfiledApp(PIPELINED, name="app")
     Watch(env, app, "wait_request", _waits_on("_drain")).run()
+
+
+@pytest.mark.parametrize("how", ["task", "process"])
+def test_kill_with_open_loop_requests_in_flight(how):
+    env = build_env("direct")
+    trace = TraceWorkload(
+        [TraceEntry(at_us=at, size_us=200.0) for at in (0.0, 10.0, 20.0)],
+        name="replay",
+    )
+    # Killed while waiting for the third entry's turn, two requests out.
+    watch = Watch(env, trace, "sleep",
+                  lambda delay, fn, *args: fn.__name__ == "_submit_open"
+                  and args[0].at_us == 20.0, how=how)
+    watch.run()
+    in_flight = trace.requests[:2]
+    # Both settle after the kill -- aborted by a task kill, completed
+    # after a bare process kill -- and neither records a round.
+    assert all(request.done for request in in_flight)
+    assert all(request.aborted == (how == "task") for request in in_flight)
+    assert len(trace.rounds) == 0
 
 
 def test_out_of_resources_at_setup_sets_error_and_exits():
